@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every run hashes its mathematical configuration (everything except --out,
---config, and --workers) into a manifest written alongside the outputs; each
-output file names that manifest on its first line, and rerunning with the same
-manifest reproduces the bytes below that line exactly.
+--config, and --workers) into a manifest written alongside the outputs once
+the command succeeds; each output file names that manifest on its first line,
+and rerunning with the same manifest reproduces the bytes below that line
+exactly. A command rejected before it writes any output leaves no file.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -224,29 +225,29 @@ class _RunContext:
             },
         }
 
-    def write_manifest(self) -> None:
+    def _open(self, name: str):
+        """Open `name` for writing under --out, creating --out on first use,
+        so a command that fails before it writes leaves no directory behind."""
         os.makedirs(self.out_dir, exist_ok=True)
-        path = os.path.join(self.out_dir, self.manifest_name)
-        with open(path, "w", newline="\n") as fh:
+        return open(os.path.join(self.out_dir, name), "w", newline="\n")
+
+    def write_manifest(self) -> None:
+        with self._open(self.manifest_name) as fh:
             json.dump(self.manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
-    def write_csv(self, name: str, header: str, rows: list[str]) -> str:
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w", newline="\n") as fh:
+    def write_csv(self, name: str, header: str, rows: list[str]) -> None:
+        with self._open(name) as fh:
             fh.write(f"# manifest: {self.manifest_name}\n")
             fh.write(header + "\n")
             for row in rows:
                 fh.write(row + "\n")
-        return path
 
-    def write_json(self, name: str, obj) -> str:
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w", newline="\n") as fh:
+    def write_json(self, name: str, obj) -> None:
+        with self._open(name) as fh:
             fh.write(f"# manifest: {self.manifest_name}\n")
             json.dump(_jsonable(obj), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
-        return path
 
 
 def _fmt(x) -> str:
@@ -268,22 +269,14 @@ def _workers(args) -> int:
     return os.cpu_count() or 1
 
 
-def _require_panel(args) -> None:
-    missing = [
-        flag
-        for flag, val in (
-            ("--returns", args.returns),
-            ("--factors", args.factors),
-            ("--window", args.window),
-        )
-        if val is None
-    ]
+def _require_flags(args, *dests: str) -> None:
+    missing = [f"--{dest}" for dest in dests if getattr(args, dest) is None]
     if missing:
         raise ConfigError(f"missing required flag(s): {', '.join(missing)}")
 
 
 def _load_window(args):
-    _require_panel(args)
+    _require_flags(args, "returns", "factors", "window")
     by_fund = _parse_returns_csv(args.returns)
     by_date = _parse_factors_csv(args.factors)
     return assemble_window(by_fund, by_date, tuple(args.window))
@@ -490,7 +483,7 @@ def _cmd_simulate(args, ctx: _RunContext) -> None:
 def _cmd_backtest(args, ctx: _RunContext) -> None:
     if args.start_year is None or args.end_year is None:
         raise ConfigError("backtest needs --start-year and --end-year")
-    _require_panel_files(args)
+    _require_flags(args, "returns", "factors")
     config = BacktestConfig(
         start_year=args.start_year,
         end_year=args.end_year,
@@ -524,16 +517,6 @@ def _cmd_backtest(args, ctx: _RunContext) -> None:
             "years": track.years,
         },
     )
-
-
-def _require_panel_files(args) -> None:
-    missing = [
-        flag
-        for flag, val in (("--returns", args.returns), ("--factors", args.factors))
-        if val is None
-    ]
-    if missing:
-        raise ConfigError(f"missing required flag(s): {', '.join(missing)}")
 
 
 def _cmd_rank_compare(args, ctx: _RunContext) -> None:
@@ -573,8 +556,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             args = _apply_config_file(argv, args, parser, by_name)
         ctx = _RunContext(args)
-        ctx.write_manifest()
         _HANDLERS[args.command](args, ctx)
+        ctx.write_manifest()
     except ConfigError as exc:
         print(f"[config-error] {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,12 @@
 """Cross-fund dependence model for the standardized alpha estimates.
 
-The covariance of the alpha estimates is ``sigma_star[i, j] = c_ij * ||h||^2``
-where c_ij is the sample covariance of the two funds' excess-return columns
-(i.i.d.-in-time convention) and h is the shared intercept extractor. Its
-correlation matrix Sigma is eigendecomposed once and split into l common
-factors plus an idiosyncratic level: loadings C (used by the mixture fit) and
-a strict-factor part Sigma ~ B B' + lambda_p I (used by simulation and the
-posterior Monte Carlo).
+The covariance of the alpha estimates is ``c_ij * ||h||^2`` where c_ij is the
+sample covariance of the two funds' excess-return columns (i.i.d.-in-time
+convention) and h is the shared intercept extractor. Its correlation matrix
+Sigma is eigendecomposed once and split into l common factors plus an
+idiosyncratic level: loadings C (used by the mixture fit) and a strict-factor
+part Sigma ~ B B' + lambda_p I (used by simulation and the posterior Monte
+Carlo). Only the split is kept; Sigma and its eigenvectors are not.
 
 Two splits share that form. A correlation given by hand is taken as exact:
 l counts the eigenvalues above 1, lambda_p is the smallest eigenvalue and B
@@ -23,10 +23,7 @@ noise level ``lambda_p = (p - sum of the l kept eigenvalues) / (p - l)``, with
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -37,27 +34,25 @@ from .panel import AlphaEstimates, ReturnPanel
 
 EIGENVALUE_FLOOR = 1e-6
 _TIE_TOL = 1e-10
-_CACHE_MAGIC = b"FSEIG001"
 
 
 @dataclass(eq=False)
 class DependenceModel:
-    """Eigenstructure of the alpha-estimate correlation matrix.
+    """Factor split of the alpha-estimate correlation matrix.
 
     C holds the loadings of the l common factors; eta_sq[i] is the
     idiosyncratic share 1 - ||C[i]||^2. B and lambda_p give the strict-factor
     model ``B @ B.T + lambda_p * I``. For a correlation taken as exact, l
-    counts the eigenvalues > 1, B spans every eigenvalue strictly above
-    lambda_p (the smallest eigenvalue), and the model reproduces ``sigma`` up
-    to float error. For a sample correlation, l is the number of eigenvalues
-    above the Marchenko-Pastur edge, B spans the same l directions, and
-    lambda_p is the mean of the discarded eigenvalues.
+    counts the eigenvalues > 1, B spans every eigen-direction whose eigenvalue
+    lies strictly above lambda_p (the smallest eigenvalue), and the model
+    reproduces the correlation up to float error. For a sample correlation, l
+    is the number of eigenvalues above the Marchenko-Pastur edge, B spans the
+    same l directions, and lambda_p is the mean of the discarded eigenvalues.
+    Columns of C and B follow the eigenvalue order, each signed so that its
+    largest-magnitude entry is positive.
     """
 
-    sigma_star: np.ndarray  # p x p
-    sigma: np.ndarray  # p x p correlation
     eigenvalues: np.ndarray  # p, non-increasing
-    eigenvectors: np.ndarray  # p x p, column j pairs with eigenvalues[j]
     l: int
     C: np.ndarray  # p x l
     B: np.ndarray  # p x rank
@@ -66,7 +61,7 @@ class DependenceModel:
 
     @property
     def p(self) -> int:
-        return self.sigma.shape[0]
+        return self.eta_sq.shape[0]
 
     @property
     def rank(self) -> int:
@@ -81,7 +76,24 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _symmetrized(sigma: np.ndarray) -> np.ndarray:
+def marchenko_pastur_edge(p: int, n_obs: int) -> float:
+    """Upper edge of the eigenvalue bulk of a p-variate sample correlation
+    over n_obs observations (n_obs - 1 degrees of freedom) of pure noise."""
+    return (1.0 + math.sqrt(p / (n_obs - 1))) ** 2
+
+
+def dependence_from_correlation(
+    sigma: np.ndarray, *, n_obs: int | None = None
+) -> DependenceModel:
+    """Build the model from an already-formed correlation matrix.
+
+    Without `n_obs` the matrix is taken as exact and the split reproduces it.
+    With `n_obs` -- the number of observations a sample correlation was
+    formed from, at least 2 -- the factor rank is estimated at the
+    Marchenko-Pastur edge (see the module docstring).
+    """
+    if n_obs is not None and n_obs < 2:
+        raise DataError(f"n_obs must be >= 2, got {n_obs}")
     sigma = np.asarray(sigma, dtype=float)
     p = sigma.shape[0]
     if sigma.shape != (p, p):
@@ -90,24 +102,22 @@ def _symmetrized(sigma: np.ndarray) -> np.ndarray:
         raise DataError("correlation matrix must be symmetric")
     sigma = 0.5 * (sigma + sigma.T)
     np.fill_diagonal(sigma, 1.0)
-    return sigma
 
+    eigvals, eigvecs = np.linalg.eigh(sigma)
+    eigvals = eigvals[::-1].copy()
+    eigvecs = eigvecs[:, ::-1].copy()
+    if eigvals[-1] <= 0.0:
+        # On the estimated-rank path lambda_p does not come from the smallest
+        # eigenvalue, so the clamp changes no model quantity: stay quiet there.
+        if n_obs is None:
+            warnings.warn(
+                f"smallest eigenvalue {eigvals[-1]:.3e} <= 0; clamping to {EIGENVALUE_FLOOR:g}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        eigvals = np.maximum(eigvals, EIGENVALUE_FLOOR)
+    eigvecs = _fix_eigenvector_signs(eigvecs)
 
-def marchenko_pastur_edge(p: int, n_obs: int) -> float:
-    """Upper edge of the eigenvalue bulk of a p-variate sample correlation
-    over n_obs observations (n_obs - 1 degrees of freedom) of pure noise."""
-    return (1.0 + math.sqrt(p / (n_obs - 1))) ** 2
-
-
-def _factor_split(
-    sigma: np.ndarray,
-    sigma_star: np.ndarray,
-    eigvals: np.ndarray,
-    eigvecs: np.ndarray,
-    n_obs: int | None,
-) -> DependenceModel:
-    """Split a sorted, sign-fixed eigensystem into the factor model."""
-    p = sigma.shape[0]
     if n_obs is None:
         lambda_p = float(eigvals[-1])
         l = int(np.sum(eigvals > 1.0))  # strictly above 1; exact ties excluded
@@ -124,69 +134,16 @@ def _factor_split(
     eta_sq = np.clip(eta_sq, 0.0, 1.0)
 
     return DependenceModel(
-        sigma_star=sigma_star,
-        sigma=sigma,
-        eigenvalues=eigvals,
-        eigenvectors=eigvecs,
-        l=l,
-        C=C,
-        B=B,
-        lambda_p=lambda_p,
-        eta_sq=eta_sq,
+        eigenvalues=eigvals, l=l, C=C, B=B, lambda_p=lambda_p, eta_sq=eta_sq
     )
 
 
-def dependence_from_correlation(
-    sigma: np.ndarray,
-    *,
-    sigma_star: np.ndarray | None = None,
-    n_obs: int | None = None,
-) -> DependenceModel:
-    """Build the model from an already-formed correlation matrix.
-
-    Without `n_obs` the matrix is taken as exact and the split reproduces it.
-    With `n_obs` -- the number of observations a sample correlation was
-    formed from, at least 2 -- the factor rank is estimated at the
-    Marchenko-Pastur edge (see the module docstring).
-    """
-    if n_obs is not None and n_obs < 2:
-        raise DataError(f"n_obs must be >= 2, got {n_obs}")
-    sigma = _symmetrized(sigma)
-    eigvals, eigvecs = np.linalg.eigh(sigma)
-    eigvals = eigvals[::-1].copy()
-    eigvecs = eigvecs[:, ::-1].copy()
-    if eigvals[-1] <= 0.0:
-        # On the estimated-rank path lambda_p does not come from the smallest
-        # eigenvalue, so the clamp changes no model quantity: stay quiet there.
-        if n_obs is None:
-            warnings.warn(
-                f"smallest eigenvalue {eigvals[-1]:.3e} <= 0; clamping to {EIGENVALUE_FLOOR:g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        eigvals = np.maximum(eigvals, EIGENVALUE_FLOOR)
-    eigvecs = _fix_eigenvector_signs(eigvecs)
-    return _factor_split(
-        sigma,
-        sigma if sigma_star is None else np.asarray(sigma_star, dtype=float),
-        eigvals,
-        eigvecs,
-        n_obs,
-    )
-
-
-def build_dependence(
-    estimates: AlphaEstimates,
-    panel: ReturnPanel,
-    *,
-    cache_dir: str | None = None,
-) -> DependenceModel:
-    """Assemble sigma_star from the panel's excess returns and decompose it.
+def build_dependence(estimates: AlphaEstimates, panel: ReturnPanel) -> DependenceModel:
+    """Form the alpha-estimate correlation from the panel's excess returns and
+    split it.
 
     Sigma is a sample correlation over the panel's T months, so the factor
-    rank is estimated (``n_obs=T``). With `cache_dir` set, the eigensystem is
-    stored keyed by a content hash of Sigma and reused on later runs against
-    identical data; a cached eigensystem goes through the same split.
+    rank is estimated (``n_obs=T``).
     """
     if estimates.fund_ids != panel.fund_ids:
         raise DataError("estimates and panel disagree on fund ids")
@@ -197,71 +154,8 @@ def build_dependence(
     cov = np.cov(y, rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)
     h_sq = float(estimates.h @ estimates.h)
-    sigma_star = h_sq * cov
+    alpha_cov = h_sq * cov
 
-    d = np.sqrt(np.diag(sigma_star))
-    sigma = sigma_star / np.outer(d, d)
-
-    if cache_dir is None:
-        return dependence_from_correlation(sigma, sigma_star=sigma_star, n_obs=n_obs)
-    sigma = _symmetrized(sigma)
-    cached = load_eigensystem_cache(cache_dir, sigma)
-    if cached is not None:
-        return _factor_split(sigma, sigma_star, *cached, n_obs)
-    model = dependence_from_correlation(sigma, sigma_star=sigma_star, n_obs=n_obs)
-    save_eigensystem_cache(cache_dir, model.sigma, model.eigenvalues, model.eigenvectors)
-    return model
-
-
-# --- eigensystem cache -------------------------------------------------------
-#
-# Binary layout (all little-endian):
-#   8 bytes  magic "FSEIG001"
-#   8 bytes  uint64 p
-#   p*8      float64 eigenvalues, descending
-#   p*p*8    float64 eigenvectors, row-major (C order), column j <-> eigenvalue j
-#
-# The file name is fseig-<sha256 of Sigma's float64 bytes, first 16 hex>.bin.
-
-
-def _sigma_key(sigma: np.ndarray) -> str:
-    payload = np.ascontiguousarray(sigma, dtype=float).tobytes()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def cache_path(cache_dir: str, sigma: np.ndarray) -> str:
-    return os.path.join(cache_dir, f"fseig-{_sigma_key(sigma)}.bin")
-
-
-def save_eigensystem_cache(
-    cache_dir: str, sigma: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray
-) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = cache_path(cache_dir, sigma)
-    p = eigenvalues.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", p))
-        fh.write(np.ascontiguousarray(eigenvalues, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(eigenvectors, dtype="<f8").tobytes())
-    return path
-
-
-def load_eigensystem_cache(
-    cache_dir: str, sigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    path = cache_path(cache_dir, sigma)
-    if not os.path.exists(path):
-        return None
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CACHE_MAGIC:
-            raise DataError(f"{path}: not an eigensystem cache file")
-        (p,) = struct.unpack("<Q", fh.read(8))
-        eigvals = np.frombuffer(fh.read(8 * p), dtype="<f8").astype(float)
-        eigvecs = (
-            np.frombuffer(fh.read(8 * p * p), dtype="<f8").astype(float).reshape(p, p)
-        )
-    if sigma.shape[0] != p:
-        raise DataError(f"{path}: cached eigensystem has p={p}, expected {sigma.shape[0]}")
-    return eigvals, eigvecs
+    d = np.sqrt(np.diag(alpha_cov))
+    sigma = alpha_cov / np.outer(d, d)
+    return dependence_from_correlation(sigma, n_obs=n_obs)

@@ -36,6 +36,7 @@ from .streams import substream
 
 ESS_WARN_THRESHOLD = 50.0
 _LOG_2PI = math.log(2.0 * math.pi)
+_BLOCK_SIZE = 256  # factor draws per block, in the sampler and the mode screen
 
 # posterior-mode search and proposal shape
 _SCREEN_DRAWS = 2000  # prior draws screened for Newton starting points
@@ -63,38 +64,35 @@ def _log_norm_pdf(x, mean, var):
     return -0.5 * (_LOG_2PI + np.log(var)) - (x - mean) ** 2 / (2.0 * var)
 
 
-def _log_mass_nonpositive(mu0, tau_sq, lambda_p, shift, z):
-    """log of integral over mu <= 0 of N(z; mu + shift, lambda_p) N(mu; mu0, tau_sq)."""
-    total_var = tau_sq + lambda_p
-    sig_sq = lambda_p * tau_sq / total_var
-    beta = sig_sq * ((z - shift) / lambda_p + mu0 / tau_sq)
-    return _log_norm_pdf(z, mu0 + shift, total_var) + log_ndtr(-beta / np.sqrt(sig_sq))
+def _log_half_masses(dev, mu0, tau_sq, noise_var):
+    """log P(mu <= 0 | x = dev) and log P(mu >= 0 | x = dev) for x = mu + e,
+    mu ~ N(mu0, tau_sq), e ~ N(0, noise_var): the Gaussian posterior of mu has
+    variance sig_sq and mean beta. Added to the log joint density of x and the
+    component, these give the log masses of its nonpositive and nonnegative
+    halves."""
+    sig_sq = noise_var * tau_sq / (tau_sq + noise_var)
+    beta = sig_sq * (dev / noise_var + mu0 / tau_sq)
+    sig = np.sqrt(sig_sq)
+    return log_ndtr(-beta / sig), log_ndtr(beta / sig)
 
 
-def _log_mass_nonnegative(mu0, tau_sq, lambda_p, shift, z):
-    """log of the complementary mass over mu >= 0."""
-    total_var = tau_sq + lambda_p
-    sig_sq = lambda_p * tau_sq / total_var
-    beta = sig_sq * ((z - shift) / lambda_p + mu0 / tau_sq)
-    return _log_norm_pdf(z, mu0 + shift, total_var) + log_ndtr(beta / np.sqrt(sig_sq))
-
-
-def _check_variances(tau_sq, lambda_p):
+def _log_component_masses(mu0, tau_sq, lambda_p, shift, z):
     if tau_sq <= 0.0 or lambda_p <= 0.0:
         raise DataError("variances must be positive")
+    log_joint = _log_norm_pdf(z, mu0 + shift, tau_sq + lambda_p)
+    neg, pos = _log_half_masses(z - shift, mu0, tau_sq, lambda_p)
+    return log_joint + neg, log_joint + pos
 
 
 def component_mass_nonpositive(mu0, tau_sq, lambda_p, shift, z) -> float:
     """Joint density mass of {statistic = z, component mean <= 0} for one
     Gaussian prior component N(mu0, tau_sq), given factor contribution `shift`."""
-    _check_variances(tau_sq, lambda_p)
-    return float(np.exp(_log_mass_nonpositive(mu0, tau_sq, lambda_p, shift, z)))
+    return float(np.exp(_log_component_masses(mu0, tau_sq, lambda_p, shift, z)[0]))
 
 
 def component_mass_nonnegative(mu0, tau_sq, lambda_p, shift, z) -> float:
     """Complementary mass over nonnegative component means."""
-    _check_variances(tau_sq, lambda_p)
-    return float(np.exp(_log_mass_nonnegative(mu0, tau_sq, lambda_p, shift, z)))
+    return float(np.exp(_log_component_masses(mu0, tau_sq, lambda_p, shift, z)[1]))
 
 
 def _logsumexp3(a, b, c):
@@ -183,7 +181,7 @@ def _newton_ascent(w, z, B, comps):
     return w, value, _precision_factor(-hess)
 
 
-def _posterior_modes(z, B, comps, seed, block_size):
+def _posterior_modes(z, B, comps, seed):
     """Distinct local modes of the factor posterior, each with its log-posterior
     and the Cholesky factor of its negative Hessian.
 
@@ -196,7 +194,7 @@ def _posterior_modes(z, B, comps, seed, block_size):
     logpost = np.concatenate([
         _logsumexp3(*_component_logs(z[:, None] - B @ blk, comps)).sum(axis=0)
         - 0.5 * np.sum(blk * blk, axis=0)
-        for blk in np.split(screen, range(block_size, _SCREEN_DRAWS, block_size), axis=1)
+        for blk in np.split(screen, range(_BLOCK_SIZE, _SCREEN_DRAWS, _BLOCK_SIZE), axis=1)
     ])
     order = [j for j in np.argsort(-logpost, kind="stable") if np.isfinite(logpost[j])]
     starts = [np.zeros(rank)] + [screen[:, j] for j in order[:_SCREEN_STARTS]]
@@ -258,8 +256,6 @@ def compute_dvalues(
     params: MixtureParams,
     n_samples: int = 2000,
     seed: int = 0,
-    *,
-    block_size: int = 256,
 ) -> DValueReport:
     """Self-normalized importance-sampling estimate of d = P(mu <= 0 | Z) per fund.
 
@@ -278,8 +274,6 @@ def compute_dvalues(
         raise DataError("dependence model and statistic vector disagree on p")
     if n_samples < 2:
         raise DataError("n_samples must be >= 2")
-    if block_size < 1:
-        raise DataError("block_size must be >= 1")
 
     lam = dep.lambda_p
     B = dep.B
@@ -292,14 +286,10 @@ def compute_dvalues(
     v1 = params.tau1_sq + lam
     v2 = params.tau2_sq + lam
     comps = ((lp0w, params.nu0, lam), (lp1w, params.nu1, v1), (lp2w, params.nu2, v2))
-    sig1_sq = lam * params.tau1_sq / v1
-    sig2_sq = lam * params.tau2_sq / v2
-    sig1 = math.sqrt(sig1_sq)
-    sig2 = math.sqrt(sig2_sq)
     spike_in_los = params.nu0 == 0.0
 
     if rank:
-        modes = _posterior_modes(z, B, comps, seed, block_size)
+        modes = _posterior_modes(z, B, comps, seed)
         if not modes:
             # zero posterior density at every start: any proposal will do,
             # and the vanished weights are reported below
@@ -318,10 +308,10 @@ def compute_dvalues(
     sd = np.zeros(p)
     sl = np.zeros(p)
 
-    n_blocks = (n_samples + block_size - 1) // block_size
+    n_blocks = (n_samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     drawn = 0
     for b in range(n_blocks):
-        nb = min(block_size, n_samples - drawn)
+        nb = min(_BLOCK_SIZE, n_samples - drawn)
         drawn += nb
         rng = substream(seed, "dvalues", b)
         if rank:
@@ -333,16 +323,12 @@ def compute_dvalues(
         c0, c1, c2 = _component_logs(dev, comps)
         logf = _logsumexp3(c0, c1, c2)
 
-        beta1 = sig1_sq * (dev / lam + params.nu1 / params.tau1_sq)
-        beta2 = sig2_sq * (dev / lam + params.nu2 / params.tau2_sq)
-        lg1 = c1 + log_ndtr(-beta1 / sig1)
-        lg2 = c2 + log_ndtr(-beta2 / sig2)
-        lq1 = c1 + log_ndtr(beta1 / sig1)
-        lq2 = c2 + log_ndtr(beta2 / sig2)
+        neg1, pos1 = _log_half_masses(dev, params.nu1, params.tau1_sq, lam)
+        neg2, pos2 = _log_half_masses(dev, params.nu2, params.tau2_sq, lam)
 
-        log_num_d = _logsumexp3(c0, lg1, lg2)
+        log_num_d = _logsumexp3(c0, c1 + neg1, c2 + neg2)
         c0_los = c0 if spike_in_los else np.full_like(c0, -np.inf)
-        log_num_los = _logsumexp3(c0_los, lq1, lq2)
+        log_num_los = _logsumexp3(c0_los, c1 + pos1, c2 + pos2)
 
         with np.errstate(invalid="ignore"):
             ratio_d = np.exp(log_num_d - logf)
@@ -406,10 +392,10 @@ def local_fdr(z, params: MixtureParams) -> np.ndarray:
         _log_weight(params.pi2),
     )
     c0 = lp0w + _log_norm_pdf(zv, params.nu0, 1.0)
-    c1 = lp1w + _log_norm_pdf(zv, params.nu1, params.tau1_sq + 1.0)
-    c2 = lp2w + _log_norm_pdf(zv, params.nu2, params.tau2_sq + 1.0)
-    lg1 = lp1w + _log_mass_nonpositive(params.nu1, params.tau1_sq, 1.0, 0.0, zv)
-    lg2 = lp2w + _log_mass_nonpositive(params.nu2, params.tau2_sq, 1.0, 0.0, zv)
-    out = np.exp(_logsumexp3(c0, lg1, lg2) - _logsumexp3(c0, c1, c2))
+    pdf1 = _log_norm_pdf(zv, params.nu1, params.tau1_sq + 1.0)
+    pdf2 = _log_norm_pdf(zv, params.nu2, params.tau2_sq + 1.0)
+    lg1 = lp1w + (pdf1 + _log_half_masses(zv, params.nu1, params.tau1_sq, 1.0)[0])
+    lg2 = lp2w + (pdf2 + _log_half_masses(zv, params.nu2, params.tau2_sq, 1.0)[0])
+    out = np.exp(_logsumexp3(c0, lg1, lg2) - _logsumexp3(c0, lp1w + pdf1, lp2w + pdf2))
     out = np.minimum(out, 1.0)
     return out if out.shape else float(out)

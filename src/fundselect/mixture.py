@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, FitFailedError
 from .streams import substream
 
 TV_BIN_WIDTH = 0.1
+_TV_DRAWS = 5  # simulations averaged into each candidate's score
 _PI_SLACK = 1e-8
 _RESID_TOL = 1e-8
 
@@ -66,6 +67,25 @@ class MixtureParams:
             "tau1_sq": self.tau1_sq,
             "tau2_sq": self.tau2_sq,
         }
+
+    def draw_means(self, rng: np.random.Generator, p: int) -> np.ndarray:
+        """p independent draws of the standardized alpha from this prior.
+
+        Draw order (documented for reproducibility): p uniform component
+        labels, then p standard normals for the slab components.
+        """
+        u = rng.random(p)
+        comp = (u >= self.pi0).astype(int) + (u >= self.pi0 + self.pi1).astype(int)
+        normals = rng.standard_normal(p)
+        return np.where(
+            comp == 0,
+            self.nu0,
+            np.where(
+                comp == 1,
+                self.nu1 + np.sqrt(self.tau1_sq) * normals,
+                self.nu2 + np.sqrt(self.tau2_sq) * normals,
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -385,18 +405,7 @@ def simulate_z(params: MixtureParams, dep: DependenceModel, seed) -> np.ndarray:
     """
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "simulate_z")
     p = dep.p
-    u = rng.random(p)
-    comp = (u >= params.pi0).astype(int) + (u >= params.pi0 + params.pi1).astype(int)
-    normals = rng.standard_normal(p)
-    mu = np.where(
-        comp == 0,
-        params.nu0,
-        np.where(
-            comp == 1,
-            params.nu1 + np.sqrt(params.tau1_sq) * normals,
-            params.nu2 + np.sqrt(params.tau2_sq) * normals,
-        ),
-    )
+    mu = params.draw_means(rng, p)
     w = rng.standard_normal(dep.rank)
     xi = rng.standard_normal(p)
     return mu + dep.B @ w + np.sqrt(dep.lambda_p) * xi
@@ -423,14 +432,12 @@ def fit_mixture(
     dep: DependenceModel,
     grids: GridConfig | None = None,
     seed: int = 0,
-    *,
-    tv_draws: int = 5,
 ) -> tuple[MixtureParams, FitDiagnostics]:
     """Grid-search fit of the mixture prior to the statistic vector.
 
     Every grid point is visited in lexical order (m, nu0, tau1_sq, tau2_sq) and
     recorded in the trace; infeasible moment systems are skipped, feasible ones
-    are scored by the average total-variation distance over `tv_draws` fresh
+    are scored by the average total-variation distance over `_TV_DRAWS` fresh
     simulations, and the minimizer wins with ties going to the earlier point.
     Deterministic for a fixed seed and grids: the simulation substream of a
     grid point depends only on (seed, its lexical index).
@@ -443,8 +450,6 @@ def fit_mixture(
         raise DataError("dependence model and statistic vector disagree on p")
     if grids is None:
         grids = GridConfig()
-    if tv_draws < 1:
-        raise ConfigError("tv_draws must be >= 1")
 
     tau_pairs = [(t1, t2) for t1 in grids.tau_grid for t2 in grids.tau_grid]
     tau1_arr = np.asarray([t[0] for t in tau_pairs])
@@ -513,9 +518,9 @@ def fit_mixture(
                     )
                     rng = substream(seed, "fit_tv", cell_base + ti)
                     score = 0.0
-                    for _ in range(tv_draws):
+                    for _ in range(_TV_DRAWS):
                         score += total_variation(z, simulate_z(params, dep, rng))
-                    score /= tv_draws
+                    score /= _TV_DRAWS
                     rec["tv"] = score
                     if score < best_tv:
                         best_tv = score

@@ -176,19 +176,7 @@ def generate_panel(
         if mu.shape != (p,):
             raise ConfigError(f"mu must have shape ({p},), got {mu.shape}")
     else:
-        prior = true_mixture(setting.sparsity)
-        u = rng.random(p)
-        comp = (u >= prior.pi0).astype(int) + (u >= prior.pi0 + prior.pi1).astype(int)
-        normals = rng.standard_normal(p)
-        mu = np.where(
-            comp == 0,
-            prior.nu0,
-            np.where(
-                comp == 1,
-                prior.nu1 + np.sqrt(prior.tau1_sq) * normals,
-                prior.nu2 + np.sqrt(prior.tau2_sq) * normals,
-            ),
-        )
+        mu = true_mixture(setting.sparsity).draw_means(rng, p)
 
     if base is not None:
         take = rng.choice(base.beta_hat.shape[0], size=p, replace=p > base.beta_hat.shape[0])

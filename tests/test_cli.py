@@ -283,6 +283,18 @@ def test_invalid_simulation_setting_exits_2(capsys):
     assert "[config-error]" in capsys.readouterr().err
 
 
+def test_failing_commands_leave_no_files(dvalue_csv, panel_files, tmp_path, monkeypatch):
+    """A command rejected before it writes any output writes no manifest
+    either, not even into the default --out (the working directory)."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["fit"]) == 2
+    assert main(["select", "--dvalues", dvalue_csv, "--returns", panel_files["returns"]]) == 2
+    assert main(["simulate", "--p", "10", "--reps", "1"]) == 2
+    assert list(cwd.iterdir()) == []
+
+
 def test_numerical_failure_exits_4(panel_files, tmp_path, capsys, monkeypatch):
     def _always_fails(*args, **kwargs):
         raise FitFailedError("no feasible grid point")

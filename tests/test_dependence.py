@@ -8,7 +8,6 @@ import pytest
 from fundselect.dependence import (
     build_dependence,
     dependence_from_correlation,
-    load_eigensystem_cache,
     marchenko_pastur_edge,
 )
 from fundselect.errors import DataError
@@ -81,9 +80,10 @@ def test_sign_convention_is_deterministic():
     sigma = random_correlation(9, 8)
     a = dependence_from_correlation(sigma)
     b = dependence_from_correlation(sigma.copy())
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
-    for j in range(9):
-        col = a.eigenvectors[:, j]
+    assert np.array_equal(a.B, b.B)
+    assert a.rank == 8  # every eigen-direction above the smallest eigenvalue
+    for j in range(a.rank):
+        col = a.B[:, j]
         assert col[np.argmax(np.abs(col))] > 0
 
 
@@ -112,7 +112,10 @@ def test_sample_correlation_rank_at_marchenko_pastur_edge():
         warnings.simplefilter("error")  # no clamp warning on this path
         dep = dependence_from_correlation(sigma, n_obs=n_obs)
 
-    vals, vecs = dep.eigenvalues, dep.eigenvectors
+    vals = dep.eigenvalues
+    # reference: the three leading eigenvectors, largest-magnitude entry positive
+    vecs = np.linalg.eigh(sigma)[1][:, ::-1][:, :3]
+    vecs = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(3)])
     assert dep.l == 3
     assert vals[2] > marchenko_pastur_edge(p, n_obs) > vals[3]
     assert dep.lambda_p == pytest.approx((p - vals[:3].sum()) / (p - 3), rel=1e-12)
@@ -140,44 +143,20 @@ def test_build_dependence_matches_excess_correlation():
     dates = tuple(month_range("2000-01", "2009-12"))
     fac = rng.normal(0.0, 0.04, size=(T, 4))
     factors = FactorSeries(dates=dates, factors=fac, rf=np.full(T, 0.002))
-    returns = rng.normal(0.005, 0.05, size=(T, p))
+    # a shared shock gives the funds one common factor, so B and C are not empty
+    returns = rng.normal(0.005, 0.05, size=(T, p)) + rng.normal(0.0, 0.05, size=(T, 1))
     panel = ReturnPanel(dates=dates, fund_ids=tuple(f"F{i}" for i in range(p)), returns=returns)
     est = carhart_fit(panel, factors)
     dep = build_dependence(est, panel)
 
-    corr = np.corrcoef(est.excess_returns, rowvar=False)
-    assert np.allclose(dep.sigma, corr, atol=1e-10)
-    # sigma_star diagonal reproduces the squared alpha standard errors
-    assert np.allclose(np.diag(dep.sigma_star), est.sigma**2, rtol=1e-10)
-
-
-def test_eigensystem_cache_roundtrip(tmp_path):
-    sigma = random_correlation(15, 12)
-    dep1 = dependence_from_correlation(sigma)
-
-    rng = np.random.default_rng(31)
-    T, p = 60, 15
-    dates = tuple(month_range("2000-01", "2004-12"))
-    fac = rng.normal(0.0, 0.04, size=(T, 4))
-    factors = FactorSeries(dates=dates, factors=fac, rf=np.full(T, 0.002))
-    returns = rng.normal(0.005, 0.05, size=(T, p))
-    panel = ReturnPanel(dates=dates, fund_ids=tuple(f"F{i}" for i in range(p)), returns=returns)
-    est = carhart_fit(panel, factors)
-
-    cold = build_dependence(est, panel, cache_dir=str(tmp_path))
-    cached_files = list(tmp_path.glob("fseig-*.bin"))
-    assert len(cached_files) == 1
-    # the warm call looks the file up under the same key the cold call saved
-    assert load_eigensystem_cache(str(tmp_path), cold.sigma) is not None
-    warm = build_dependence(est, panel, cache_dir=str(tmp_path))
-    assert np.array_equal(cold.eigenvalues, warm.eigenvalues)
-    assert np.array_equal(cold.eigenvectors, warm.eigenvectors)
-    assert np.array_equal(cold.B, warm.B)
-    assert (cold.l, cold.lambda_p) == (warm.l, warm.lambda_p)
-    assert (warm.l, warm.lambda_p) == (
-        build_dependence(est, panel).l,
-        build_dependence(est, panel).lambda_p,
+    ref = dependence_from_correlation(
+        np.corrcoef(est.excess_returns, rowvar=False), n_obs=T
     )
+    assert dep.l == ref.l == 1
+    assert dep.lambda_p == pytest.approx(ref.lambda_p, rel=1e-12)
+    np.testing.assert_allclose(dep.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dep.B, ref.B, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dep.C, ref.C, rtol=0, atol=1e-10)
 
 
 def test_fund_id_mismatch_rejected():

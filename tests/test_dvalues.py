@@ -364,10 +364,7 @@ def test_dvalues_permutation_equivariance():
 
     perm = rng.permutation(p)
     dep_perm = DependenceModel(
-        sigma_star=dep.sigma_star[np.ix_(perm, perm)],
-        sigma=dep.sigma[np.ix_(perm, perm)],
         eigenvalues=dep.eigenvalues,
-        eigenvectors=dep.eigenvectors[perm],
         l=dep.l,
         C=dep.C[perm],
         B=dep.B[perm],
@@ -463,10 +460,7 @@ def test_dvalues_input_validation():
     dep = dependence_from_correlation(_corr(4, 0.2))
     z = np.zeros(4)
     empty_dep = DependenceModel(
-        sigma_star=np.zeros((0, 0)),
-        sigma=np.zeros((0, 0)),
         eigenvalues=np.zeros(0),
-        eigenvectors=np.zeros((0, 0)),
         l=0,
         C=np.zeros((0, 0)),
         B=np.zeros((0, 0)),
@@ -479,8 +473,6 @@ def test_dvalues_input_validation():
         compute_dvalues(np.zeros(5), dep, BASE)
     with pytest.raises(DataError):
         compute_dvalues(z, dep, BASE, n_samples=1)
-    with pytest.raises(DataError):
-        compute_dvalues(z, dep, BASE, n_samples=100, block_size=0)
 
 
 def test_dvalue_report_carries_run_metadata():

@@ -383,5 +383,3 @@ def test_fit_input_validation(coarse_grids, identity_dep):
         fit_mixture(np.zeros(49), identity_dep, coarse_grids)
     with pytest.raises(DataError, match="disagree on p"):
         fit_mixture(np.zeros(61), identity_dep, coarse_grids)
-    with pytest.raises(ConfigError, match="tv_draws"):
-        fit_mixture(np.zeros(60), identity_dep, coarse_grids, tv_draws=0)
