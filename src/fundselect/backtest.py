@@ -51,7 +51,12 @@ class BacktestConfig:
 
 @dataclass
 class PortfolioTrack:
-    """Year-end portfolio values per strategy, plus what was held each year."""
+    """Year-end portfolio values per strategy, plus what was held each year.
+
+    `annualized` is the geometric mean yearly return ``(last / first) **
+    (1 / years) - 1``. A track that ends at or below zero has lost everything
+    (a negative ratio has no real root), so its annualized return is -1.0.
+    """
 
     years: list[int]
     values: dict[str, list[float]]  # strategy -> [initial, end-of-year-1, ...]
@@ -66,7 +71,8 @@ class PortfolioTrack:
                     raise DataError(
                         f"track {name!r} has {len(track)} values for {n} years"
                     )
-                self.annualized[name] = (track[-1] / track[0]) ** (1.0 / n) - 1.0
+                ratio = track[-1] / track[0]
+                self.annualized[name] = ratio ** (1.0 / n) - 1.0 if ratio > 0.0 else -1.0
 
 
 def _parse_benchmark_csv(path: str) -> dict[str, float]:

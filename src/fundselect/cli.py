@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import json
 import math
@@ -307,7 +308,10 @@ def _selection_summary(res) -> dict:
 
 def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     """Read a d-value CSV (our own output format, or any file with at least a
-    fund_id and d_value column); a leading '# manifest:' line is skipped."""
+    fund_id and d_value column); a leading '# manifest:' line is skipped.
+    Fields follow CSV quoting, so a quoted fund id may contain commas; every
+    record is one line. Blank lines are skipped; line numbers in error
+    messages count the non-blank lines from the header on, which is line 1."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     lines = [ln for ln in lines if ln.strip()]
@@ -315,14 +319,19 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
         lines = lines[1:]
     if not lines:
         raise DataError(f"{path}: empty d-value file")
-    header = [c.strip() for c in lines[0].split(",")]
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            records.append(next(csv.reader([line])))
+        except csv.Error as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    header = [c.strip() for c in records[0]]
     if "fund_id" not in header or "d_value" not in header:
         raise DataError(f"{path}: need fund_id and d_value columns, got {header}")
     idx = {name: i for i, name in enumerate(header)}
     fund_ids: list[str] = []
     numeric: dict[str, list[float]] = {name: [] for name in header if name != "fund_id"}
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
+    for lineno, cells in enumerate(records[1:], start=2):
         if len(cells) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
         fund_ids.append(cells[idx["fund_id"]].strip())

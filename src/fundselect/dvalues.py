@@ -337,7 +337,11 @@ def compute_dvalues(
         if np.any(dead):
             ratio_d = np.where(dead, 0.0, ratio_d)
             ratio_los = np.where(dead, 0.0, ratio_los)
-        assert np.all(ratio_d <= 1.0 + 1e-9) and np.all(ratio_d >= 0.0)
+        if not (np.all(ratio_d >= 0.0) and np.all(ratio_d <= 1.0 + 1e-9)):
+            raise NumericalError(
+                "posterior probability of mu <= 0 left [0, 1]: it spans "
+                f"[{float(np.min(ratio_d))!r}, {float(np.max(ratio_d))!r}]"
+            )
         ratio_d = np.minimum(ratio_d, 1.0)
         ratio_los = np.minimum(ratio_los, 1.0)
 

@@ -1,5 +1,6 @@
 """Rolling backtest: config checks, monthly compounding, fallbacks, rank report."""
 
+import json
 import warnings
 
 import numpy as np
@@ -61,6 +62,17 @@ def test_track_annualized_matches_hand_computation():
         selections={"dvalue": {2005: ["f1"], 2006: []}},
     )
     assert track.annualized["dvalue"] == pytest.approx(0.1, abs=1e-12)
+
+
+def test_track_annualizes_a_wiped_out_strategy_to_total_loss():
+    """A track that turns negative has no real annualized return; it is a
+    total loss, -1.0, which the CLI's JSON writer can encode."""
+    track = PortfolioTrack(
+        years=[2010, 2011], values={"bh": [1.0, -3.0, -2140.0]}, selections={}
+    )
+    assert type(track.annualized["bh"]) is float
+    assert track.annualized["bh"] == -1.0
+    assert json.loads(json.dumps(track.annualized, allow_nan=False)) == {"bh": -1.0}
 
 
 def test_track_rejects_length_mismatch():

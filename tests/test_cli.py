@@ -1,13 +1,16 @@
 """End-to-end command-line checks: exit codes, file formats, reproducibility."""
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_panel_csvs
-from fundselect.cli import main
+from fundselect.cli import _read_dvalue_csv, main
 from fundselect.errors import FitFailedError
 from fundselect.selection import select_fdr_stepup
 from fundselect.simlab import planted_panel
@@ -276,6 +279,33 @@ def test_malformed_dvalue_file_exits_3(tmp_path, capsys):
     noz.write_text("fund_id,d_value\nF1,0.5\nF2,0.2\n")
     assert main(["rank-compare", "--dvalues", str(noz), "--top-n", "1", "--out", str(tmp_path)]) == 3
     assert "needs a z column" in capsys.readouterr().err
+
+
+# Single-line fund ids without surrounding whitespace, which the reader strips.
+_FUND_IDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=12
+).filter(lambda s: s == s.strip())
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(
+    st.tuples(_FUND_IDS, st.floats(0.0, 1.0), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=8,
+))
+@example(rows=[('F1, "Class A"', 0.25, -1.5), ('"q"', 1.0, 0.0), ("", 0.0, 2.0)])
+def test_dvalue_csv_round_trips_quoted_fund_ids(tmp_path_factory, rows):
+    """A file written by csv.writer, quoting and all, reads back the same
+    fund ids, d-values and z values."""
+    path = tmp_path_factory.mktemp("dv") / "dv.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("# manifest: manifest-abcdef123456.json\n")
+        writer = csv.writer(fh)
+        writer.writerow(["fund_id", "d_value", "z"])
+        writer.writerows(rows)
+    fund_ids, cols = _read_dvalue_csv(str(path))
+    assert fund_ids == [fid for fid, _, _ in rows]
+    assert cols["d_value"].tolist() == [d for _, d, _ in rows]
+    assert cols["z"].tolist() == [z for _, _, z in rows]
 
 
 def test_invalid_simulation_setting_exits_2(capsys):

@@ -456,6 +456,23 @@ def test_dvalues_raises_when_all_weights_vanish():
         compute_dvalues(z, dep, BASE, n_samples=64, seed=0)
 
 
+def test_dvalues_raise_when_a_posterior_probability_leaves_unit_interval(monkeypatch):
+    """The range check on P(mu <= 0 | Z) is a raised NumericalError, not an
+    assert that `python -O` would strip."""
+    from fundselect import dvalues
+
+    half_masses = dvalues._log_half_masses
+
+    def inflated(dev, mu0, tau_sq, noise_var):
+        neg, pos = half_masses(dev, mu0, tau_sq, noise_var)
+        return neg + math.log(3.0), pos
+
+    monkeypatch.setattr(dvalues, "_log_half_masses", inflated)
+    dep = dependence_from_correlation(_corr(5, 0.3))
+    with pytest.raises(NumericalError, match=r"left \[0, 1\]: it spans"):
+        compute_dvalues(np.full(5, -2.0), dep, BASE, n_samples=64, seed=0)
+
+
 def test_dvalues_input_validation():
     dep = dependence_from_correlation(_corr(4, 0.2))
     z = np.zeros(4)

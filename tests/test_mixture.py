@@ -6,12 +6,22 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from fundselect.dependence import dependence_from_correlation
+from fundselect.dependence import build_dependence, dependence_from_correlation
 from fundselect.errors import ConfigError, DataError, FitFailedError
 from fundselect.mixture import (
+    _SCORE_CHUNK,
+    _TV_DRAWS,
+    FitDiagnostics,
     GridConfig,
     MixtureParams,
     PooledMoments,
+    _clip_weights,
+    _jacobian,
+    _newton_starts,
+    _residuals,
+    _simulate_rows,
+    _solve_moment_batch,
+    _tv_rows,
     fit_mixture,
     forward_moments,
     lad_regress,
@@ -20,6 +30,9 @@ from fundselect.mixture import (
     solve_moments,
     total_variation,
 )
+from fundselect.panel import carhart_fit
+from fundselect.simlab import SimSetting, generate_panel, synthetic_factors
+from fundselect.streams import substream
 
 # ---------------------------------------------------------------- dataclasses
 
@@ -383,3 +396,347 @@ def test_fit_input_validation(coarse_grids, identity_dep):
         fit_mixture(np.zeros(49), identity_dep, coarse_grids)
     with pytest.raises(DataError, match="disagree on p"):
         fit_mixture(np.zeros(61), identity_dep, coarse_grids)
+
+
+# ---------------------------------------------- batched fit vs per-point loop
+#
+# The fit solves the moment systems of a cell with an active-set Newton
+# iteration and scores blocks of grid points in one simulation and binning
+# pass. The references below do the same arithmetic the plain way -- every
+# row on every Newton iteration, one simulate_z draw and two np.histogram
+# calls per score -- and the batched results must equal them bit for bit.
+
+
+def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar):
+    n = tau1_arr.shape[0]
+    n_start = 8
+    starts = _newton_starts(targets)
+    X = np.repeat(starts[None, :, :], n, axis=0).reshape(n * n_start, 4)
+    t1 = np.repeat(tau1_arr, n_start)
+    t2 = np.repeat(tau2_arr, n_start)
+    tgt = targets[None, :]
+
+    R = _residuals(X, t1, t2, tgt, eta_bar, eta4_bar)
+    rnorm = np.max(np.abs(R), axis=1)
+    for _ in range(60):
+        if np.all(rnorm < 1e-12):
+            break
+        J = _jacobian(X, t1, t2, eta_bar, eta4_bar)
+        G = np.einsum("nij,nik->njk", J, J)
+        ridge = 1e-12 * (1.0 + np.trace(G, axis1=1, axis2=2))
+        G[:, np.arange(4), np.arange(4)] += ridge[:, None]
+        g = np.einsum("nij,ni->nj", J, R)
+        try:
+            step = np.linalg.solve(G, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            break
+        step = np.where(np.isfinite(step), step, 0.0)
+
+        alpha = np.ones(n * n_start)
+        accepted = rnorm < 1e-12
+        X_next = X.copy()
+        R_next = R.copy()
+        rn_next = rnorm.copy()
+        for _bt in range(30):
+            work = ~accepted
+            if not np.any(work):
+                break
+            Xc = X[work] - alpha[work, None] * step[work]
+            Rc = _residuals(Xc, t1[work], t2[work], tgt, eta_bar, eta4_bar)
+            rc = np.max(np.abs(Rc), axis=1)
+            ok = rc < rnorm[work]
+            ok = np.where(np.isfinite(rc), ok, False)
+            idx = np.nonzero(work)[0]
+            good = idx[ok]
+            X_next[good] = Xc[ok]
+            R_next[good] = Rc[ok]
+            rn_next[good] = rc[ok]
+            accepted[good] = True
+            alpha[idx[~ok]] *= 0.5
+        X, R, rnorm = X_next, R_next, rn_next
+
+    pi1, pi2 = X[:, 0], X[:, 1]
+    pi0 = 1.0 - pi1 - pi2
+    slack = 1e-8
+    valid = (
+        np.all(np.isfinite(X), axis=1)
+        & (rnorm < 1e-8)
+        & (X[:, 2] <= X[:, 3])
+        & (pi1 >= -slack) & (pi1 <= 1.0 + slack)
+        & (pi2 >= -slack) & (pi2 <= 1.0 + slack)
+        & (pi0 >= -slack) & (pi0 <= 1.0 + slack)
+    )
+    rnorm_sel = np.where(valid, rnorm, np.inf).reshape(n, n_start)
+    best_start = np.argmin(rnorm_sel, axis=1)
+    feasible = np.isfinite(rnorm_sel[np.arange(n), best_start])
+    chosen = X.reshape(n, n_start, 4)[np.arange(n), best_start]
+    chosen = np.where(feasible[:, None], chosen, np.nan)
+    return feasible, chosen
+
+
+def _ref_simulate_z(params, dep, rng):
+    p = dep.p
+    u = rng.random(p)
+    comp = (u >= params.pi0).astype(int) + (u >= params.pi0 + params.pi1).astype(int)
+    normals = rng.standard_normal(p)
+    mu = np.where(
+        comp == 0,
+        params.nu0,
+        np.where(comp == 1,
+                 params.nu1 + np.sqrt(params.tau1_sq) * normals,
+                 params.nu2 + np.sqrt(params.tau2_sq) * normals),
+    )
+    w = rng.standard_normal(dep.rank)
+    xi = rng.standard_normal(p)
+    return mu + dep.B @ w + np.sqrt(dep.lambda_p) * xi
+
+
+def _ref_total_variation(a, b):
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    n_bins = max(int(np.ceil((hi - lo) / 0.1)), 1)
+    edges = lo + 0.1 * np.arange(n_bins + 1)
+    pa, _ = np.histogram(a, bins=edges)
+    pb, _ = np.histogram(b, bins=edges)
+    return float(min(0.5 * np.abs(pa / a.size - pb / b.size).sum(), 1.0))
+
+
+def _ref_fit(z, dep, grids, seed):
+    """The grid search one point at a time: same trace, params and winner."""
+    p = z.size
+    tau_pairs = [(t1, t2) for t1 in grids.tau_grid for t2 in grids.tau_grid]
+    tau1_arr = np.asarray([t[0] for t in tau_pairs])
+    tau2_arr = np.asarray([t[1] for t in tau_pairs])
+    abs_sorted = np.sort(np.abs(z))
+    eta_bar = float(np.mean(dep.eta_sq))
+    eta4_bar = float(np.mean(dep.eta_sq**2))
+    trace, best_tv, best = [], np.inf, None
+    for mi, m_pct in enumerate(grids.m_grid):
+        cut = min(max(int(p * m_pct / 100.0), 1), p)
+        subset = np.abs(z) <= abs_sorted[cut - 1]
+        lad_failed = False
+        if dep.l > 0:
+            try:
+                v_hat = lad_regress(z[subset], dep.C[subset])
+            except DataError:
+                lad_failed = True
+                v_hat = np.zeros(dep.l)
+            cv = dep.C @ v_hat
+        else:
+            v_hat, cv = np.zeros(0), np.zeros(p)
+        for ni, nu0 in enumerate(grids.nu0_grid):
+            if lad_failed:
+                trace += [{"m": m_pct, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2,
+                           "feasible": False, "tv": None} for t1, t2 in tau_pairs]
+                continue
+            mom = pooled_moments(z - cv - nu0, dep.eta_sq)
+            targets = np.asarray([mom.m1, mom.m2, mom.m3, mom.m4])
+            feasible, sols = _ref_solve_moment_batch(
+                targets, tau1_arr, tau2_arr, eta_bar, eta4_bar)
+            cell_base = (mi * len(grids.nu0_grid) + ni) * len(tau_pairs)
+            for ti, (t1, t2) in enumerate(tau_pairs):
+                rec = {"m": m_pct, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2,
+                       "feasible": bool(feasible[ti]), "tv": None}
+                if feasible[ti]:
+                    pi1, pi2, u1, u2 = sols[ti]
+                    pi0, pi1, pi2 = _clip_weights(1.0 - pi1 - pi2, pi1, pi2)
+                    params = MixtureParams(
+                        pi0=pi0, pi1=pi1, pi2=pi2, nu0=float(nu0),
+                        nu1=float(nu0 + u1), nu2=float(nu0 + u2),
+                        tau1_sq=float(t1), tau2_sq=float(t2))
+                    rng = substream(seed, "fit_tv", cell_base + ti)
+                    score = 0.0
+                    for _ in range(_TV_DRAWS):
+                        score += _ref_total_variation(z, _ref_simulate_z(params, dep, rng))
+                    score /= _TV_DRAWS
+                    rec["tv"] = score
+                    if score < best_tv:
+                        best_tv, best = score, (params, float(m_pct), v_hat.copy())
+                trace.append(rec)
+    if best is None:
+        raise FitFailedError(
+            f"no feasible grid point among {len(trace)} candidates", trace=trace)
+    params, m_pct, v_hat = best
+    return params, FitDiagnostics(m_pct=m_pct, v_hat=v_hat, tv=best_tv, grid_trace=trace)
+
+
+def _fit_outcome(fit, z, dep, grids, seed):
+    """The fit's result -- (params, diagnostics), or the FitFailedError
+    message and trace -- with every float as its repr, so that equality is
+    equality of bits; and the grid trace."""
+    try:
+        params, diag = fit(z, dep, grids, seed)
+    except FitFailedError as exc:
+        return ("failed", str(exc), repr(exc.trace)), exc.trace
+    outcome = (repr(params), diag.m_pct, diag.v_hat.tobytes(), repr(diag.tv),
+               repr(diag.grid_trace))
+    return outcome, diag.grid_trace
+
+
+_BIT_TAUS = (0.05, 0.08, 0.10, 0.12, 0.15, 0.20, 0.25, 0.30)
+
+
+def _sim_case():
+    setting = SimSetting(p=150, sparsity="s1", dependence="d1", theta=0.1, reps=1, seed=3)
+    factors = synthetic_factors(setting.n_months, substream(3, "factors"))
+    panel, factors, _ = generate_panel(setting, substream(3, "rep", 0), factors=factors)
+    estimates = carhart_fit(panel, factors)
+    return estimates.z, build_dependence(estimates, panel), (20.0, 40.0), (-0.5, -0.2, 0.0)
+
+
+def _identity_case():
+    dep = dependence_from_correlation(np.eye(200))
+    true = MixtureParams(pi0=0.1, pi1=0.7, pi2=0.2, nu0=-0.1, nu1=-0.6,
+                         nu2=1.1, tau1_sq=0.12, tau2_sq=0.12)
+    return simulate_z(true, dep, 2), dep, (20.0, 40.0), (-0.5, -0.1, 0.0)
+
+
+def _two_block_case(draw_seed):
+    """l = 2 blocks; m = 1% leaves one row for two loadings, so LAD fails."""
+    sigma = np.eye(60)
+    for blk in (slice(0, 30), slice(30, 60)):
+        sigma[blk, blk] = 0.5
+    np.fill_diagonal(sigma, 1.0)
+    dep = dependence_from_correlation(sigma)
+    params = MixtureParams(pi0=0.3, pi1=0.5, pi2=0.2, nu0=0.0, nu1=-0.5,
+                           nu2=1.2, tau1_sq=0.1, tau2_sq=0.1)
+    return simulate_z(params, dep, draw_seed), dep, (1.0, 30.0, 60.0), (-0.2, 0.0)
+
+
+def _spike_only_case():
+    dep = dependence_from_correlation(np.eye(200))
+    null = MixtureParams(pi0=1.0, pi1=0.0, pi2=0.0, nu0=0.0, nu1=0.0,
+                         nu2=0.0, tau1_sq=0.1, tau2_sq=0.1)
+    return simulate_z(null, dep, 500), dep, (20.0, 40.0), (-0.1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "case, l_positive, lad_fails, empty_cell, partial_chunk, fails",
+    [
+        (_sim_case, True, False, False, False, False),
+        (_identity_case, False, False, False, True, False),
+        (lambda: _two_block_case(9), True, True, True, True, False),
+        (lambda: _two_block_case(10), True, True, True, False, True),
+        (_spike_only_case, False, False, True, False, True),
+    ],
+    ids=["factor-panel", "no-factors", "lad-fails", "lad-fails-no-fit", "spike-only"],
+)
+def test_batched_fit_matches_per_point_reference(
+    case, l_positive, lad_fails, empty_cell, partial_chunk, fails
+):
+    z, dep, m_grid, nu0_grid = case()
+    grids = GridConfig(m_grid=m_grid, nu0_grid=nu0_grid, tau_grid=_BIT_TAUS)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, trace = _fit_outcome(fit_mixture, z, dep, grids, 5)
+    assert got == _fit_outcome(_ref_fit, z, dep, grids, 5)[0]
+
+    # the case covers what its flags say
+    assert (dep.l > 0) == l_positive
+    assert (got[0] == "failed") == fails
+    assert any("factor regression" in str(w.message) for w in caught) == lad_fails
+    n_tau = len(_BIT_TAUS) ** 2
+    cell_counts = [sum(r["feasible"] for r in trace[start:start + n_tau])
+                   for start in range(0, len(trace), n_tau)]
+    assert (0 in cell_counts) == empty_cell
+    assert any(c % _SCORE_CHUNK for c in cell_counts) == partial_chunk
+
+
+def _moment_targets():
+    """Twelve moment-target vectors (targets, eta_bar, eta4_bar): population
+    moments of separated mixtures, the pure-spike and dead-component cases,
+    and the pooled moments of a simulated cross-section."""
+    rng = np.random.default_rng(1)
+    out = []
+    for _ in range(8):
+        pi0 = rng.uniform(0.05, 0.3)
+        pi1 = (1 - pi0) * rng.uniform(0.55, 0.8)
+        t1, t2 = rng.uniform(0.05, 0.2, size=2)
+        eta = rng.uniform(0.3, 1.0)
+        eta4 = eta**2 * rng.uniform(1.0, 1.4)
+        m = forward_moments(pi1, 1 - pi0 - pi1, rng.uniform(-1.0, -0.3),
+                            rng.uniform(0.8, 1.8), t1, t2, eta, eta4)
+        out.append((np.asarray(m), eta, eta4))
+    out.append((np.array([0.0, 0.5, 0.0, 0.9]), 0.5, 0.3))  # pure spike
+    dead = forward_moments(0.9, 0.0, -0.3, 1.0, 0.1, 0.1, 0.5, 0.3)
+    out.append((np.asarray(dead), 0.5, 0.3))
+    z, dep, _, _ = _identity_case()
+    for nu0 in (-0.1, 0.0):
+        mom = pooled_moments(z - nu0, dep.eta_sq)
+        out.append((np.array([mom.m1, mom.m2, mom.m3, mom.m4]),
+                    mom.eta_sq_bar, mom.eta_4_bar))
+    return out
+
+
+def test_active_set_newton_matches_full_batch():
+    taus = np.asarray(GridConfig().tau_grid[::3])
+    tau1 = np.repeat(taus, taus.size)
+    tau2 = np.tile(taus, taus.size)
+    n_feasible = 0
+    for targets, eta, eta4 in _moment_targets():
+        feasible, sols = _solve_moment_batch(targets, tau1, tau2, eta, eta4)
+        ref_feasible, ref_sols = _ref_solve_moment_batch(targets, tau1, tau2, eta, eta4)
+        np.testing.assert_array_equal(feasible, ref_feasible)
+        assert np.array_equal(sols, ref_sols, equal_nan=True)
+        n_feasible += int(feasible.sum())
+    assert n_feasible > 0
+
+
+def test_batched_simulation_matches_four_draw_reference():
+    """A simulated block -- p uniforms and then 2p + rank normals per row, one
+    row per generator -- equals, row by row, simulate_z drawn the old way:
+    labels, component normals, factor vector and noise one by one."""
+    params = [MixtureParams(pi0=0.1, pi1=0.7, pi2=0.2, nu0=-0.1, nu1=-0.6,
+                            nu2=1.1, tau1_sq=0.1, tau2_sq=0.15),
+              MixtureParams(pi0=0.3, pi1=0.3, pi2=0.4, nu0=0.0, nu1=-0.2,
+                            nu2=0.9, tau1_sq=0.05, tau2_sq=0.3)] * 3
+    for dep in (_equicorr(97, 0.3), _sim_case()[1], dependence_from_correlation(np.eye(51))):
+        p = dep.p
+        rngs = [np.random.default_rng(k) for k in range(len(params))]
+        u = np.stack([rng.random(p) for rng in rngs])
+        normals = np.stack([rng.standard_normal(2 * p + dep.rank) for rng in rngs])
+        block = _simulate_rows(params, dep, u, normals)
+        for j, q in enumerate(params):
+            want = _ref_simulate_z(q, dep, np.random.default_rng(j))
+            np.testing.assert_array_equal(block[j], want)
+            np.testing.assert_array_equal(simulate_z(q, dep, np.random.default_rng(j)), want)
+
+
+def test_batched_tv_matches_histogram_on_edge_cases():
+    """The one-pass binning reproduces np.histogram's counts on rows built
+    to sit on, just beside and just past its bin edges."""
+    lo = -3.0
+    edges = lo + 0.1 * np.arange(19)
+    hi = np.nextafter(edges[18], np.inf)
+    # ceil((hi - lo) / 0.1) = 18 bins whose last edge rounds below hi, so
+    # np.histogram drops hi
+    assert max(int(np.ceil((hi - lo) / 0.1)), 1) == 18 and edges[18] < hi
+    a = np.array([lo, -2.05, -1.5, -1.25])
+    rows = [
+        np.concatenate([edges[:5], edges[9:12]]),         # on interior edges
+        np.array([lo, -2.6, -2.0, -1.5, -1.3, -1.25, -1.22, edges[18]]),  # max on last edge
+        np.array([lo, -2.0, -1.9, -1.3, -1.25, -1.22, -1.21, hi]),  # past the last edge
+        np.nextafter(edges[2:10], -np.inf),                # just below edges
+        np.nextafter(edges[2:10], np.inf),                 # just above edges
+        np.full(8, -2.05),                                  # narrow range
+    ]
+    b = np.stack(rows)
+    got = _tv_rows(a, b)
+    want = [_ref_total_variation(a, row) for row in rows]
+    assert got.tolist() == want
+    assert len(set(_tv_rows(a, b).tolist())) > 1
+
+    # constant samples: one bin
+    const = np.full(5, 0.7)
+    assert _tv_rows(const, np.stack([const, const + 0.0])).tolist() == [0.0, 0.0]
+    assert total_variation(const, const) == _ref_total_variation(const, const) == 0.0
+
+    # samples of different sizes, rows of different widths, one batch
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal(37)
+    b = np.stack([rng.standard_normal(23) * s + c
+                  for s, c in ((0.2, 0.0), (1.0, 0.3), (3.0, -1.0), (0.01, 5.0))])
+    assert _tv_rows(a, b).tolist() == [_ref_total_variation(a, row) for row in b]
+    for row in b:
+        assert total_variation(a, row) == _ref_total_variation(a, row)
+        assert total_variation(row, a) == _ref_total_variation(row, a)
