@@ -26,7 +26,7 @@ import scipy
 
 from . import __version__
 from .backtest import BacktestConfig, rank_compare, run_backtest
-from .dependence import build_dependence
+from .dependence import build_dependence, marchenko_pastur_edge
 from .dvalues import compute_dvalues, local_fdr
 from .errors import ConfigError, DataError, NumericalError
 from .mixture import GridConfig, fit_mixture
@@ -237,12 +237,14 @@ class _RunContext:
             json.dump(self.manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
-    def write_csv(self, name: str, header: str, rows: list[str]) -> None:
+    def write_csv(self, name: str, header: list[str], rows) -> None:
+        """Write `rows` (sequences of fields) under `header` with CSV quoting,
+        so a fund id holding a comma or a quote reads back intact."""
         with self._open(name) as fh:
             fh.write(f"# manifest: {self.manifest_name}\n")
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
     def write_json(self, name: str, obj) -> None:
         with self._open(name) as fh:
@@ -297,6 +299,17 @@ def _run_pipeline(args, need_dvalues: bool = True):
     return panel, cleaning, estimates, dep, params, diag, report
 
 
+def _dependence_summary(dep, n_obs: int) -> dict:
+    """The factor-rank rule at work: l, lambda_p, the Marchenko-Pastur edge
+    and the eigenvalues around it (the l kept ones and the first dropped)."""
+    return {
+        "l": dep.l,
+        "lambda_p": dep.lambda_p,
+        "marchenko_pastur_edge": marchenko_pastur_edge(dep.p, n_obs),
+        "eigenvalues_head": dep.eigenvalues[: dep.l + 1],
+    }
+
+
 def _selection_summary(res) -> dict:
     return {
         "k": res.k,
@@ -348,12 +361,13 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
 
 
 def _cmd_fit(args, ctx: _RunContext) -> None:
-    _, cleaning, estimates, dep, params, diag, _ = _run_pipeline(args, need_dvalues=False)
+    panel, cleaning, estimates, dep, params, diag, _ = _run_pipeline(args, need_dvalues=False)
     ctx.write_json("cleaning.json", cleaning)
     feasible = sum(1 for rec in diag.grid_trace if rec.get("feasible"))
     ctx.write_json(
         "mixture_params.json",
         {
+            "dependence": _dependence_summary(dep, panel.n_months),
             "params": params.as_dict(),
             "diagnostics": {
                 "m_pct": diag.m_pct,
@@ -369,19 +383,20 @@ def _cmd_fit(args, ctx: _RunContext) -> None:
 
 
 def _cmd_dvalues(args, ctx: _RunContext) -> None:
-    _, cleaning, estimates, dep, params, diag, report = _run_pipeline(args)
+    panel, cleaning, estimates, dep, params, diag, report = _run_pipeline(args)
     ctx.write_json("cleaning.json", cleaning)
     lfdr = local_fdr(estimates.z, params)
     rows = [
-        f"{fid},{_fmt(z)},{_fmt(d)},{_fmt(q)},{_fmt(l)}"
+        [fid, _fmt(z), _fmt(d), _fmt(q), _fmt(l)]
         for fid, z, d, q, l in zip(
             estimates.fund_ids, estimates.z, report.d, report.los, lfdr
         )
     ]
-    ctx.write_csv("dvalues.csv", "fund_id,z,d_value,los,local_fdr", rows)
+    ctx.write_csv("dvalues.csv", ["fund_id", "z", "d_value", "los", "local_fdr"], rows)
     ctx.write_json(
         "dvalues_meta.json",
         {
+            "dependence": _dependence_summary(dep, panel.n_months),
             "ess": report.ess,
             "n_samples": report.n_samples,
             "params": params.as_dict(),
@@ -428,8 +443,8 @@ def _cmd_select(args, ctx: _RunContext) -> None:
         columns.append(("lambda_selected", [str(int(v)) for v in exact.decisions]))
         meta["lambda"] = {"lam": args.lam, **_selection_summary(exact)}
 
-    header = ",".join(name for name, _ in columns)
-    rows = [",".join(col[i] for _, col in columns) for i in range(len(fund_ids))]
+    header = [name for name, _ in columns]
+    rows = zip(*(col for _, col in columns))
     ctx.write_csv("selection.csv", header, rows)
     ctx.write_json("selection_meta.json", meta)
 
@@ -449,18 +464,24 @@ def _cmd_simulate(args, ctx: _RunContext) -> None:
     )
     order = ("dvalue", "bh", "storey")
     summary_rows = [
-        f"{name},{_fmt(metrics[name].mean_fdp)},{_fmt(metrics[name].mean_fnp)},"
-        f"{_fmt(metrics[name].mean_selected)}"
+        [
+            name,
+            _fmt(metrics[name].mean_fdp),
+            _fmt(metrics[name].mean_fnp),
+            _fmt(metrics[name].mean_selected),
+        ]
         for name in order
     ]
-    ctx.write_csv("sim_summary.csv", "method,mean_fdp,mean_fnp,mean_selected", summary_rows)
+    ctx.write_csv(
+        "sim_summary.csv", ["method", "mean_fdp", "mean_fnp", "mean_selected"], summary_rows
+    )
 
     long_rows = []
     for name in order:
         m = metrics[name]
         for i, (fdp, fnp, sel) in enumerate(zip(m.fdp, m.fnp, m.selected)):
-            long_rows.append(f"{i},{name},{_fmt(fdp)},{_fmt(fnp)},{int(sel)}")
-    ctx.write_csv("sim_reps.csv", "rep,method,fdp,fnp,selected", long_rows)
+            long_rows.append([i, name, _fmt(fdp), _fmt(fnp), int(sel)])
+    ctx.write_csv("sim_reps.csv", ["rep", "method", "fdp", "fnp", "selected"], long_rows)
 
     ctx.write_json(
         "sim_detail.json",
@@ -509,12 +530,12 @@ def _cmd_backtest(args, ctx: _RunContext) -> None:
     strategies = sorted(track.values)
     rows = []
     for name in strategies:
-        rows.append(f"{track.years[0] - 1},{name},{_fmt(track.values[name][0])},0")
+        rows.append([track.years[0] - 1, name, _fmt(track.values[name][0]), 0])
     for i, year in enumerate(track.years):
         for name in strategies:
             count = len(track.selections[name].get(year, []))
-            rows.append(f"{year},{name},{_fmt(track.values[name][i + 1])},{count}")
-    ctx.write_csv("backtest_track.csv", "year,strategy,value,selected_count", rows)
+            rows.append([year, name, _fmt(track.values[name][i + 1]), count])
+    ctx.write_csv("backtest_track.csv", ["year", "strategy", "value", "selected_count"], rows)
     ctx.write_json(
         "backtest_selections.json",
         {

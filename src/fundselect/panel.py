@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -93,31 +94,55 @@ class AlphaEstimates:
 
 
 def _parse_returns_csv(path: str) -> dict[str, dict[str, float]]:
-    """Read the long-form returns file into {fund_id: {date: ret}}."""
+    """Read the long-form returns file into {fund_id: {date: ret}}.
+
+    Fields are CSV (a quoted fund id may hold commas) with surrounding
+    whitespace ignored; blank lines are skipped. A fund id must be non-empty
+    and on one line, since the CLI writes it into line-per-record outputs.
+    A bad field count, fund id, return or a repeated (fund, date) raises
+    DataError naming the file and line; a bad date raises month_index's
+    error. Each distinct date text is validated once and every row with it
+    shares one key string; each distinct fund id text is checked once.
+    """
     by_fund: dict[str, dict[str, float]] = {}
+    dates: dict[str, str] = {}  # date field as written -> validated key
+    rows_by_field: dict[str, dict[str, float]] = {}  # fund field as written -> its rows
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:3]] != ["date", "fund_id", "ret"]:
             raise DataError(f"{path}: expected header 'date,fund_id,ret'")
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
             if len(row) != 3:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
                 raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            date, fund, ret_s = row[0].strip(), row[1].strip(), row[2].strip()
-            month_index(date)  # validates format
-            if not fund:
-                raise DataError(f"{path}:{lineno}: empty fund_id")
+            date_s, fund_s, ret_s = row
+            date = dates.get(date_s)
+            if date is None:
+                date = date_s.strip()
+                month_index(date)  # validates format
+                dates[date_s] = date
+            fund_rows = rows_by_field.get(fund_s)
+            if fund_rows is None:
+                fund = fund_s.strip()
+                if not fund:
+                    raise DataError(f"{path}:{lineno}: empty fund_id")
+                if "\n" in fund or "\r" in fund:
+                    raise DataError(f"{path}:{lineno}: fund_id {fund!r} spans lines")
+                fund_rows = rows_by_field[fund_s] = by_fund.setdefault(fund, {})
             try:
                 ret = float(ret_s)
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad return value {ret_s!r}") from None
-            if not np.isfinite(ret):
+                raise DataError(
+                    f"{path}:{lineno}: bad return value {ret_s.strip()!r}"
+                ) from None
+            if not math.isfinite(ret):
                 raise DataError(f"{path}:{lineno}: non-finite return")
-            fund_rows = by_fund.setdefault(fund, {})
             if date in fund_rows:
-                raise DataError(f"{path}:{lineno}: duplicate row for fund {fund} at {date}")
+                raise DataError(
+                    f"{path}:{lineno}: duplicate row for fund {fund_s.strip()} at {date}"
+                )
             fund_rows[date] = ret
     return by_fund
 

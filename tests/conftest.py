@@ -1,5 +1,7 @@
 """Shared fixtures: tiny CSV panels on disk and small dependence models."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -41,11 +43,14 @@ def write_panel_csvs(tmp_path, panel, factors, subdir=None):
     base.mkdir(parents=True, exist_ok=True)
     returns_csv = base / "returns.csv"
     factors_csv = base / "factors.csv"
-    with open(returns_csv, "w", newline="\n") as fh:
-        fh.write("date,fund_id,ret\n")
+    with open(returns_csv, "w", newline="") as fh:
+        # csv quoting keeps ids with commas or quotes intact; plain ids are
+        # written as bare text
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["date", "fund_id", "ret"])
         for t, date in enumerate(panel.dates):
             for i, fund in enumerate(panel.fund_ids):
-                fh.write(f"{date},{fund},{float(panel.returns[t, i])!r}\n")
+                writer.writerow([date, fund, repr(float(panel.returns[t, i]))])
     with open(factors_csv, "w", newline="\n") as fh:
         fh.write("date,mkt_rf,smb,hml,mom,rf\n")
         for t, date in enumerate(factors.dates):

@@ -93,6 +93,16 @@ def test_fit_writes_manifest_and_params(panel_files, tmp_path):
     assert params["n_funds"] == 60
     assert _manifest_line(out / "cleaning.json") == f"# manifest: {manifests[0]}"
 
+    # the factor-rank rule for p = 60 funds over the window's T = 60 months
+    dep = params["dependence"]
+    assert set(dep) == {"l", "lambda_p", "marchenko_pastur_edge", "eigenvalues_head"}
+    assert dep["marchenko_pastur_edge"] == pytest.approx((1.0 + np.sqrt(60 / 59)) ** 2)
+    head = dep["eigenvalues_head"]
+    assert len(head) == dep["l"] + 1 and head == sorted(head, reverse=True)
+    assert all(v > dep["marchenko_pastur_edge"] for v in head[:-1])
+    assert head[-1] <= dep["marchenko_pastur_edge"]
+    assert 0.0 < dep["lambda_p"] <= 1.0
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_dvalues_csv_format(panel_files, tmp_path):
@@ -114,6 +124,10 @@ def test_dvalues_csv_format(panel_files, tmp_path):
     assert meta["n_samples"] == 300
     assert 0.0 < meta["ess"] <= 300.0
     assert set(meta["params"]) >= {"pi0", "nu0", "tau1_sq"}
+    assert set(meta["dependence"]) == {
+        "l", "lambda_p", "marchenko_pastur_edge", "eigenvalues_head"
+    }
+    assert len(meta["dependence"]["eigenvalues_head"]) == meta["dependence"]["l"] + 1
 
 
 def test_select_from_dvalue_file_matches_library(dvalue_csv, tmp_path):
@@ -306,6 +320,32 @@ def test_dvalue_csv_round_trips_quoted_fund_ids(tmp_path_factory, rows):
     assert fund_ids == [fid for fid, _, _ in rows]
     assert cols["d_value"].tolist() == [d for _, d, _ in rows]
     assert cols["z"].tolist() == [z for _, _, z in rows]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_quoted_fund_id_survives_dvalues_then_select(tmp_path):
+    """An id holding a comma and quotes, accepted on input, is written quoted
+    into dvalues.csv and selection.csv, so `select --dvalues` reads the
+    CLI's own output back."""
+    panel, factors, _ = planted_panel(
+        p=60, n_months=84, n_planted=12, alpha_monthly=0.01, seed=21
+    )
+    odd = 'Fund 3, "Class A"'
+    panel.fund_ids = tuple(odd if f == panel.fund_ids[3] else f for f in panel.fund_ids)
+    returns_csv, factors_csv = write_panel_csvs(tmp_path, panel, factors)
+    dv, sel = tmp_path / "dv", tmp_path / "sel"
+    assert main(
+        ["dvalues", "--returns", returns_csv, "--factors", factors_csv, "--window", WINDOW,
+         *GRID_FLAGS, "--mc-samples", "300", "--seed", "3", "--out", str(dv)]
+    ) == 0
+    assert main(["select", "--dvalues", str(dv / "dvalues.csv"), "--out", str(sel)]) == 0
+
+    for path in (dv / "dvalues.csv", sel / "selection.csv"):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert all(len(r) == len(rows[0]) for r in rows)
+        assert sorted(r[0] for r in rows[1:]) == sorted(panel.fund_ids)
+    assert _read_dvalue_csv(str(dv / "dvalues.csv"))[0].count(odd) == 1
 
 
 def test_invalid_simulation_setting_exits_2(capsys):

@@ -1,11 +1,13 @@
 """Eigenstructure of the alpha-statistic correlation and its factor splits."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from fundselect.dependence import (
+    EIGENVALUE_FLOOR,
     build_dependence,
     dependence_from_correlation,
     marchenko_pastur_edge,
@@ -137,26 +139,63 @@ def test_sample_size_validated():
         dependence_from_correlation(np.eye(3), n_obs=1)
 
 
-def test_build_dependence_matches_excess_correlation():
-    rng = np.random.default_rng(31)
-    T, p = 120, 6
-    dates = tuple(month_range("2000-01", "2009-12"))
+def _factor_panel(T, p, loadings, seed):
+    """Fund returns with `loadings.shape[0]` common monthly shocks, fitted."""
+    rng = np.random.default_rng(seed)
+    dates = tuple(month_range("2000-01", "2099-12"))[:T]
     fac = rng.normal(0.0, 0.04, size=(T, 4))
     factors = FactorSeries(dates=dates, factors=fac, rf=np.full(T, 0.002))
-    # a shared shock gives the funds one common factor, so B and C are not empty
-    returns = rng.normal(0.005, 0.05, size=(T, p)) + rng.normal(0.0, 0.05, size=(T, 1))
+    returns = rng.normal(0.005, 0.05, size=(T, p))
+    returns += rng.normal(0.0, 0.05, size=(T, loadings.shape[0])) @ loadings
     panel = ReturnPanel(dates=dates, fund_ids=tuple(f"F{i}" for i in range(p)), returns=returns)
-    est = carhart_fit(panel, factors)
-    dep = build_dependence(est, panel)
+    return carhart_fit(panel, factors), panel
 
-    ref = dependence_from_correlation(
-        np.corrcoef(est.excess_returns, rowvar=False), n_obs=T
-    )
-    assert dep.l == ref.l == 1
-    assert dep.lambda_p == pytest.approx(ref.lambda_p, rel=1e-12)
-    np.testing.assert_allclose(dep.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dep.B, ref.B, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dep.C, ref.C, rtol=0, atol=1e-10)
+
+def test_build_dependence_matches_excess_correlation():
+    """The thin-SVD model equals the split of the full sample correlation:
+    p < T (a shared shock, l = 1), p > T with three planted factors, p = T,
+    and a pure-noise panel where no eigenvalue clears the edge (l = 0)."""
+    planted = np.random.default_rng(8).normal(0.0, 1.0, size=(3, 300))
+    cases = [
+        # (T, p, loadings, seed, l)
+        (120, 6, np.ones((1, 6)), 31, 1),
+        (60, 300, planted, 32, 3),
+        (60, 60, planted[:, :60], 33, 3),
+        (60, 300, np.zeros((0, 300)), 34, 0),
+    ]
+    for T, p, loadings, seed, l in cases:
+        est, panel = _factor_panel(T, p, loadings, seed)
+        dep = build_dependence(est, panel)
+
+        ref = dependence_from_correlation(
+            np.corrcoef(est.excess_returns, rowvar=False), n_obs=T
+        )
+        assert dep.l == ref.l == l
+        assert dep.lambda_p == pytest.approx(ref.lambda_p, rel=1e-12)
+        # Centring leaves rank <= T - 1. Past that the eigenvalues are zero:
+        # floored in the model, and rounding noise of either sign (floored or
+        # not) in the reference's eigh.
+        k = min(p, T - 1)
+        np.testing.assert_allclose(dep.eigenvalues[:k], ref.eigenvalues[:k], rtol=0, atol=1e-10)
+        assert np.all(dep.eigenvalues[k:] == EIGENVALUE_FLOOR)
+        assert np.all(np.abs(ref.eigenvalues[k:]) <= EIGENVALUE_FLOOR)
+        np.testing.assert_allclose(dep.B, ref.B, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dep.C, ref.C, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dep.eta_sq, ref.eta_sq, rtol=0, atol=1e-10)
+
+
+def test_build_dependence_forms_no_p_by_p_array():
+    """A wide panel's model is built in O(T p) memory."""
+    T, p = 48, 1500
+    est, panel = _factor_panel(T, p, np.ones((1, p)), 35)
+    tracemalloc.start()
+    try:
+        dep = build_dependence(est, panel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dep.l == 1
+    assert peak < 0.25 * p * p * 8  # a p x p float array is 18 MB; T x p is 0.6 MB
 
 
 def test_fund_id_mismatch_rejected():

@@ -1,12 +1,18 @@
 """Ingestion, cleaning, and the four-factor alpha regression."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fundselect.errors import DataError, NumericalError
 from fundselect.panel import (
     FactorSeries,
     ReturnPanel,
+    _parse_factors_csv,
+    _parse_returns_csv,
     carhart_fit,
     load_panel,
     month_index,
@@ -230,3 +236,198 @@ def test_carhart_names_rank_deficient_column():
     factors = FactorSeries(dates=dates, factors=fac, rf=np.zeros(T))
     with pytest.raises(NumericalError, match=r"rank deficient.*(mkt_rf|hml)"):
         carhart_fit(panel, factors)
+
+
+# ---------------------------------------------------------------------------
+# returns and factor readers
+
+
+def _reference_parse_returns_csv(path):
+    """The row-by-row returns reader the one-pass parser replaced: every field
+    stripped, every date regex-validated and every return checked with
+    np.isfinite, row by row. Kept as the reference for results and errors."""
+    by_fund = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header[:3]] != ["date", "fund_id", "ret"]:
+            raise DataError(f"{path}: expected header 'date,fund_id,ret'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            date, fund, ret_s = row[0].strip(), row[1].strip(), row[2].strip()
+            month_index(date)  # validates format
+            if not fund:
+                raise DataError(f"{path}:{lineno}: empty fund_id")
+            try:
+                ret = float(ret_s)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad return value {ret_s!r}") from None
+            if not np.isfinite(ret):
+                raise DataError(f"{path}:{lineno}: non-finite return")
+            fund_rows = by_fund.setdefault(fund, {})
+            if date in fund_rows:
+                raise DataError(f"{path}:{lineno}: duplicate row for fund {fund} at {date}")
+            fund_rows[date] = ret
+    return by_fund
+
+
+def _outcome(parse, path):
+    """A parser's result, or the message of the DataError it raised."""
+    try:
+        return parse(path)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def test_returns_parser_matches_reference_on_generated_panel(tmp_path):
+    """A panel with quoted ids, padded fields and blank lines parses to the
+    same dict as the reference."""
+    rng = np.random.default_rng(5)
+    months = month_range("2008-07", "2010-06")
+    funds = ["F00", 'Fund 1, "Class A"', "F 2", "F03"]
+    path = tmp_path / "returns.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([" date", "fund_id ", "ret", "extra header cell"])
+        for t, m in enumerate(months):
+            for i, fund in enumerate(funds):
+                if (t + i) % 7 == 3:
+                    continue  # gaps, as in a real panel
+                date = f" {m} " if t % 5 == 0 else m
+                fid = f"\t{fund}" if i == 3 and t % 2 else fund
+                writer.writerow([date, fid, f" {rng.normal(0.0, 0.05)!r}\t"])
+            if t % 6 == 0:
+                fh.write("\n   \n")
+    got = _parse_returns_csv(str(path))
+    assert got == _reference_parse_returns_csv(str(path))
+    assert set(got) == set(funds)
+    assert sum(len(v) for v in got.values()) > 0.8 * len(months) * len(funds)
+
+
+_GOOD = ["2001-01,A,0.01", "2001-02,A,-0.02", "", "2001-01, B ,0.03"]
+_HEADER = "date,fund_id,ret"
+
+
+@pytest.mark.parametrize(
+    "header,rows,expect",
+    [
+        pytest.param("date,fund,ret", _GOOD, ": expected header", id="bad-header"),
+        pytest.param("", [], ": expected header", id="empty-file"),
+        pytest.param(_HEADER, [*_GOOD, "2001-03,A"], ":6: expected 3 fields", id="too-few-fields"),
+        pytest.param(_HEADER, [*_GOOD, "2001-03,A,1,2"], ":6: expected 3", id="too-many-fields"),
+        pytest.param(_HEADER, [*_GOOD, "2001-3,A,0.1"], "bad date '2001-3'", id="bad-date"),
+        pytest.param(_HEADER, [*_GOOD, "2001-13,A,0.1"], "month out of range", id="month-13"),
+        pytest.param(_HEADER, [*_GOOD, "2001-00,C,0.1"], "month out of range", id="month-0"),
+        pytest.param(_HEADER, [*_GOOD, "2001-03,  ,0.1"], ":6: empty fund_id", id="blank-fund-id"),
+        pytest.param(_HEADER, [*_GOOD, '2001-03,"",0.1'], ":6: empty fund_id", id="empty-fund-id"),
+        pytest.param(_HEADER, [*_GOOD, "2001-03,A,oops"], ":6: bad return", id="bad-return"),
+        pytest.param(_HEADER, [*_GOOD, "2001-03,A, "], ":6: bad return value", id="blank-return"),
+        pytest.param(_HEADER, [*_GOOD, "2001-03,A,nan"], ":6: non-finite", id="nan-return"),
+        pytest.param(_HEADER, [*_GOOD, "2001-03,A, -inf "], ":6: non-finite", id="inf-return"),
+        pytest.param(_HEADER, [*_GOOD, "2001-03,A,1e999"], ":6: non-finite", id="overflow-return"),
+        pytest.param(_HEADER, [*_GOOD, "2001-02 ,A,0.5"], ":6: duplicate row", id="duplicate"),
+        pytest.param(_HEADER, [*_GOOD, " 2001-01,\tB,0.5"], ":6: duplicate", id="padded-duplicate"),
+        pytest.param(_HEADER, ["", " ", *_GOOD, "", "2001-02, A ,x"], ":9: bad return",
+                     id="blank-lines-error"),
+        pytest.param(_HEADER, ["", " ", *_GOOD, "", " 2001-04 , A , 0.5 "], None,
+                     id="blank-lines-ok"),
+    ],
+)
+def test_returns_parser_errors_match_reference(tmp_path, header, rows, expect):
+    """Same result, or the same DataError message with the same line number."""
+    path = tmp_path / "returns.csv"
+    path.write_text("".join(f"{r}\n" for r in [header, *rows]) if header else "")
+    want = _outcome(_reference_parse_returns_csv, str(path))
+    assert _outcome(_parse_returns_csv, str(path)) == want
+    if expect is None:
+        assert want["A"] == {"2001-01": 0.01, "2001-02": -0.02, "2001-04": 0.5}
+    else:
+        assert want.startswith("DataError: ") and expect in want
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(
+    st.tuples(
+        st.sampled_from(["2001-01", " 2001-02", "2001-02\t", "2001-1", "2001-13", "x"]),
+        st.sampled_from(["A", " A", "B ", 'C, "c"', "", " "]),
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.text(st.sampled_from(" \t\u00a0\u20030123456789.-+eEinfa_"), max_size=8),
+        ),
+    ),
+    max_size=8,
+))
+def test_returns_parser_agrees_with_reference_on_any_rows(tmp_path_factory, rows):
+    """Whatever the fields hold (padding of any whitespace, bad dates, ids
+    and returns, repeats), both readers give the same dict or error."""
+    path = tmp_path_factory.mktemp("ret") / "returns.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["date", "fund_id", "ret"])
+        writer.writerows(rows)
+    assert _outcome(_parse_returns_csv, str(path)) == _outcome(
+        _reference_parse_returns_csv, str(path)
+    )
+
+
+@pytest.mark.parametrize("fund", ["A\nB", "A\r\nB", "A\rB"])
+def test_returns_parser_rejects_fund_id_spanning_lines(tmp_path, fund):
+    """The CLI writes one record per line, so such an id could not be read
+    back from its own outputs."""
+    path = tmp_path / "returns.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)  # quotes a field holding \r or \n
+        writer.writerows([["date", "fund_id", "ret"], ["2001-01", "A", "0.1"],
+                          ["2001-01", fund, "0.2"]])
+    with pytest.raises(DataError, match=r"returns\.csv:3: fund_id .* spans lines"):
+        _parse_returns_csv(str(path))
+
+
+# Single-line fund ids, with no surrounding whitespace (the readers strip it).
+_FUND_IDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+    min_size=1, max_size=12,
+).filter(lambda s: s == s.strip())
+_MONTHS = month_range("1990-01", "2009-12")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(panel=st.dictionaries(
+    _FUND_IDS, st.dictionaries(st.sampled_from(_MONTHS), _FINITE, min_size=1, max_size=6),
+    max_size=6,
+))
+@example(panel={'F1, "Class A"': {"2001-01": -0.5}, '"q"': {"2001-02": 0.0}, "#": {"2001-01": 1.0}})
+def test_returns_csv_round_trips(tmp_path_factory, panel):
+    """A returns file written by csv.writer, quoting and all, reads back the
+    same {fund: {date: ret}}."""
+    path = tmp_path_factory.mktemp("ret") / "returns.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "fund_id", "ret"])
+        writer.writerows(
+            (date, fund, ret) for fund, rows in panel.items() for date, ret in rows.items()
+        )
+    assert _parse_returns_csv(str(path)) == panel
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=st.dictionaries(
+    st.sampled_from(_MONTHS), st.tuples(*[_FINITE] * 5), max_size=8,
+))
+def test_factors_csv_round_trips(tmp_path_factory, table):
+    """A factor file written by csv.writer reads back the same factor rows
+    and risk-free rates."""
+    path = tmp_path_factory.mktemp("fac") / "factors.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "mkt_rf", "smb", "hml", "mom", "rf"])
+        writer.writerows((date, *vals) for date, vals in table.items())
+    got = _parse_factors_csv(str(path))
+    assert set(got) == set(table)
+    for date, vals in table.items():
+        row, rf = got[date]
+        assert row.tolist() == list(vals[:4]) and rf == vals[4]
