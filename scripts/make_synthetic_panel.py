@@ -11,22 +11,19 @@ Two modes:
 
 Also writes truth.csv (fund_id, true standardized alpha, planted flag) and,
 with --benchmark, the equal-weight all-fund series benchmark.csv.
+
+Run from the repository root with the package importable, e.g.
+    PYTHONPATH=src python3 scripts/make_synthetic_panel.py --p 300 --out-dir panel
 """
 
 import argparse
+import csv
 import os
 
 import numpy as np
 
 from fundselect.simlab import SimSetting, generate_panel, planted_panel, synthetic_factors
 from fundselect.streams import substream
-
-
-def _write_rows(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
 
 
 def main() -> None:
@@ -49,7 +46,7 @@ def main() -> None:
             args.p, args.months, args.planted, args.alpha_monthly, args.seed
         )
         mu = np.where(planted, args.alpha_monthly, 0.0)
-        planted_flag = planted.astype(int)
+        planted_flag = planted
     else:
         setting = SimSetting(
             p=args.p, sparsity=args.sparsity, dependence=args.dep,
@@ -59,43 +56,41 @@ def main() -> None:
         panel, factors, mu = generate_panel(
             setting, substream(args.seed, "panel"), factors=factors
         )
-        planted_flag = (mu > 0).astype(int)
+        planted_flag = mu > 0
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_rows(
-        os.path.join(args.out_dir, "returns.csv"),
-        "date,fund_id,ret",
-        (
-            f"{date},{fund},{float(panel.returns[t, i])!r}"
-            for t, date in enumerate(panel.dates)
-            for i, fund in enumerate(panel.fund_ids)
+    tables = {
+        "returns.csv": (
+            ["date", "fund_id", "ret"],
+            (
+                [date, fund, float(panel.returns[t, i])]
+                for t, date in enumerate(panel.dates)
+                for i, fund in enumerate(panel.fund_ids)
+            ),
         ),
-    )
-    _write_rows(
-        os.path.join(args.out_dir, "factors.csv"),
-        "date,mkt_rf,smb,hml,mom,rf",
-        (
-            f"{date},"
-            + ",".join(repr(float(v)) for v in factors.factors[t])
-            + f",{float(factors.rf[t])!r}"
-            for t, date in enumerate(factors.dates)
+        "factors.csv": (
+            ["date", "mkt_rf", "smb", "hml", "mom", "rf"],
+            (
+                [date, *map(float, factors.factors[t]), float(factors.rf[t])]
+                for t, date in enumerate(factors.dates)
+            ),
         ),
-    )
-    _write_rows(
-        os.path.join(args.out_dir, "truth.csv"),
-        "fund_id,mu,planted",
-        (
-            f"{fund},{float(mu[i])!r},{planted_flag[i]}"
-            for i, fund in enumerate(panel.fund_ids)
+        "truth.csv": (
+            ["fund_id", "mu", "planted"],
+            ([fund, float(mu[i]), int(planted_flag[i])] for i, fund in enumerate(panel.fund_ids)),
         ),
-    )
+    }
     if args.benchmark:
         ew = panel.returns.mean(axis=1)
-        _write_rows(
-            os.path.join(args.out_dir, "benchmark.csv"),
-            "date,ret",
-            (f"{date},{float(ew[t])!r}" for t, date in enumerate(panel.dates)),
+        tables["benchmark.csv"] = (
+            ["date", "ret"],
+            ([date, float(ew[t])] for t, date in enumerate(panel.dates)),
         )
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        with open(os.path.join(args.out_dir, name), "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
     print(f"wrote {args.p} funds x {args.months} months to {args.out_dir}")
 
 

@@ -36,7 +36,6 @@ from .panel import (
     FactorSeries,
     ReturnPanel,
     carhart_fit,
-    load_panel,
     month_range,
 )
 from .selection import (
@@ -82,7 +81,6 @@ __all__ = [
     "fit_mixture",
     "generate_panel",
     "lad_regress",
-    "load_panel",
     "local_fdr",
     "month_range",
     "one_sided_pvalues",

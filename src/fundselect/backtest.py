@@ -61,18 +61,15 @@ class PortfolioTrack:
     years: list[int]
     values: dict[str, list[float]]  # strategy -> [initial, end-of-year-1, ...]
     selections: dict[str, dict[int, list[str]]]
-    annualized: dict[str, float] = field(default_factory=dict)
+    annualized: dict[str, float] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.years)
-        if not self.annualized:
-            for name, track in self.values.items():
-                if len(track) != n + 1:
-                    raise DataError(
-                        f"track {name!r} has {len(track)} values for {n} years"
-                    )
-                ratio = track[-1] / track[0]
-                self.annualized[name] = ratio ** (1.0 / n) - 1.0 if ratio > 0.0 else -1.0
+        for name, track in self.values.items():
+            if len(track) != n + 1:
+                raise DataError(f"track {name!r} has {len(track)} values for {n} years")
+            ratio = track[-1] / track[0]
+            self.annualized[name] = ratio ** (1.0 / n) - 1.0 if ratio > 0.0 else -1.0
 
 
 def _parse_benchmark_csv(path: str) -> dict[str, float]:

@@ -30,7 +30,13 @@ from .dependence import build_dependence, marchenko_pastur_edge
 from .dvalues import compute_dvalues, local_fdr
 from .errors import ConfigError, DataError, NumericalError
 from .mixture import GridConfig, fit_mixture
-from .panel import _parse_factors_csv, _parse_returns_csv, assemble_window, carhart_fit
+from .panel import (
+    _parse_factors_csv,
+    _parse_returns_csv,
+    assemble_window,
+    carhart_fit,
+    month_range,
+)
 from .selection import (
     bh_select,
     one_sided_pvalues,
@@ -55,6 +61,10 @@ def _window_arg(text: str) -> tuple[str, str]:
     parts = text.split(":")
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise argparse.ArgumentTypeError(f"window must be START:END, got {text!r}")
+    try:
+        month_range(parts[0], parts[1])
+    except DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return parts[0], parts[1]
 
 
@@ -405,18 +415,20 @@ def _cmd_dvalues(args, ctx: _RunContext) -> None:
     )
 
 
-def _cmd_select(args, ctx: _RunContext) -> None:
+def _dvalue_source(args) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Fund ids and columns (`d_value`, plus `z` and `los` where known), read
+    from --dvalues or computed from the panel."""
     if args.dvalues is not None and args.returns is not None:
         raise ConfigError("give either --dvalues or a panel (--returns/--factors), not both")
     if args.dvalues is not None:
-        fund_ids, cols = _read_dvalue_csv(args.dvalues)
-        d = cols["d_value"]
-        z = cols.get("z")
-        los = cols.get("los")
-    else:
-        _, _, estimates, _, params, _, report = _run_pipeline(args)
-        fund_ids = list(estimates.fund_ids)
-        d, z, los = report.d, estimates.z, report.los
+        return _read_dvalue_csv(args.dvalues)
+    _, _, estimates, _, _, _, report = _run_pipeline(args)
+    return list(estimates.fund_ids), {"d_value": report.d, "z": estimates.z, "los": report.los}
+
+
+def _cmd_select(args, ctx: _RunContext) -> None:
+    fund_ids, cols = _dvalue_source(args)
+    d, z, los = cols["d_value"], cols.get("z"), cols.get("los")
 
     skilled = select_fdr_stepup(d, args.theta)
     meta = {"theta": args.theta, "skilled": _selection_summary(skilled)}
@@ -550,18 +562,10 @@ def _cmd_backtest(args, ctx: _RunContext) -> None:
 
 
 def _cmd_rank_compare(args, ctx: _RunContext) -> None:
-    if args.dvalues is not None and args.returns is not None:
-        raise ConfigError("give either --dvalues or a panel (--returns/--factors), not both")
-    if args.dvalues is not None:
-        fund_ids, cols = _read_dvalue_csv(args.dvalues)
-        if "z" not in cols:
-            raise DataError(f"{args.dvalues}: rank-compare needs a z column")
-        d, z = cols["d_value"], cols["z"]
-    else:
-        _, _, estimates, _, _, _, report = _run_pipeline(args)
-        fund_ids = list(estimates.fund_ids)
-        d, z = report.d, estimates.z
-
+    fund_ids, cols = _dvalue_source(args)
+    if "z" not in cols:
+        raise DataError(f"{args.dvalues}: rank-compare needs a z column")
+    d, z = cols["d_value"], cols["z"]
     result = rank_compare(z, d, one_sided_pvalues(z), top_n=args.top_n)
     for key in ("overlap", "d_only", "p_only"):
         result[f"{key}_funds"] = [fund_ids[i] for i in result[key]]

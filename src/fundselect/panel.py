@@ -16,7 +16,6 @@ covariance of the alpha estimates) is built from that single vector.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -38,6 +37,14 @@ def month_index(date: str) -> int:
     if not 1 <= month <= 12:
         raise DataError(f"bad date {date!r}: month out of range")
     return year * 12 + (month - 1)
+
+
+def _check_date(date: str, path: str, lineno: int) -> None:
+    """month_index's format check, its error prefixed with `path:lineno`."""
+    try:
+        month_index(date)
+    except DataError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
 
 
 def month_range(start: str, end: str) -> list[str]:
@@ -100,9 +107,9 @@ def _parse_returns_csv(path: str) -> dict[str, dict[str, float]]:
     whitespace ignored; blank lines are skipped. A fund id must be non-empty
     and on one line, since the CLI writes it into line-per-record outputs.
     A bad field count, fund id, return or a repeated (fund, date) raises
-    DataError naming the file and line; a bad date raises month_index's
-    error. Each distinct date text is validated once and every row with it
-    shares one key string; each distinct fund id text is checked once.
+    DataError naming the file and line, as does a bad date. Each distinct
+    date text is validated once and every row with it shares one key string;
+    each distinct fund id text is checked once.
     """
     by_fund: dict[str, dict[str, float]] = {}
     dates: dict[str, str] = {}  # date field as written -> validated key
@@ -121,7 +128,7 @@ def _parse_returns_csv(path: str) -> dict[str, dict[str, float]]:
             date = dates.get(date_s)
             if date is None:
                 date = date_s.strip()
-                month_index(date)  # validates format
+                _check_date(date, path, lineno)
                 dates[date_s] = date
             fund_rows = rows_by_field.get(fund_s)
             if fund_rows is None:
@@ -162,7 +169,7 @@ def _parse_factors_csv(path: str) -> dict[str, tuple[np.ndarray, float]]:
             if len(row) != 6:
                 raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
             date = row[0].strip()
-            month_index(date)
+            _check_date(date, path, lineno)
             if date in out:
                 raise DataError(f"{path}:{lineno}: duplicate factor row for {date}")
             try:
@@ -232,30 +239,6 @@ def assemble_window(
         rf=np.asarray([by_date[m][1] for m in months], dtype=float),
     )
     return panel, factors, log
-
-
-def load_panel(
-    returns_csv: str,
-    factors_csv: str,
-    window: tuple[str, str],
-    *,
-    cleaning_log_path: str | None = None,
-) -> tuple[ReturnPanel, FactorSeries]:
-    """Load, clean, and align the two input files over `window` (inclusive).
-
-    Funds must have a row for every month of the window and no return equal to
-    exactly 0.0 inside it; everything else is dropped and recorded in the
-    cleaning log (written as JSON when `cleaning_log_path` is given).
-    """
-    by_fund = _parse_returns_csv(returns_csv)
-    by_date = _parse_factors_csv(factors_csv)
-    panel, factors, log = assemble_window(by_fund, by_date, window)
-
-    if cleaning_log_path is not None:
-        with open(cleaning_log_path, "w") as fh:
-            json.dump(log, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return panel, factors
 
 
 def _check_design_rank(design: np.ndarray) -> None:

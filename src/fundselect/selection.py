@@ -17,6 +17,10 @@ from scipy.special import ndtr
 
 from .errors import DataError
 
+# Storey's null-fraction tuning point (Storey 2002): p-values above it are
+# taken to come from nulls.
+STOREY_LAMBDA = 0.5
+
 
 @dataclass(eq=False)
 class SelectionResult:
@@ -112,22 +116,22 @@ def _stepup_core(values: np.ndarray, theta: float) -> tuple[np.ndarray, int]:
     return order, k
 
 
-def select_fdr_stepup(dvalues, theta: float) -> SelectionResult:
-    """Largest selection whose average selected d-value stays within theta."""
-    d = _as_prob_vector(dvalues, "dvalues")
-    if not 0.0 < theta < 1.0:
-        raise DataError("theta must lie in (0, 1)")
-    order, k = _stepup_core(d, theta)
-    return _result_from_sorted(d, order, k, theta)
-
-
-def select_unskilled(los, theta: float) -> SelectionResult:
-    """Same step-up rule applied to the mirror posteriors (P(mu >= 0 | Z))."""
-    v = _as_prob_vector(los, "los")
+def _stepup_select(values, name: str, theta: float) -> SelectionResult:
+    v = _as_prob_vector(values, name)
     if not 0.0 < theta < 1.0:
         raise DataError("theta must lie in (0, 1)")
     order, k = _stepup_core(v, theta)
     return _result_from_sorted(v, order, k, theta)
+
+
+def select_fdr_stepup(dvalues, theta: float) -> SelectionResult:
+    """Largest selection whose average selected d-value stays within theta."""
+    return _stepup_select(dvalues, "dvalues", theta)
+
+
+def select_unskilled(los, theta: float) -> SelectionResult:
+    """Same step-up rule applied to the mirror posteriors (P(mu >= 0 | Z))."""
+    return _stepup_select(los, "los", theta)
 
 
 def one_sided_pvalues(z) -> np.ndarray:
@@ -136,60 +140,43 @@ def one_sided_pvalues(z) -> np.ndarray:
     return ndtr(-zv)
 
 
-def _bh_at_level(pvals: np.ndarray, level: float) -> tuple[np.ndarray, int]:
+def _baseline_pvalues(z, theta: float) -> np.ndarray:
+    zv = np.asarray(z, dtype=float)
+    if zv.ndim != 1 or zv.size == 0:
+        raise DataError("z must be a nonempty 1-d vector")
+    if not 0.0 < theta < 1.0:
+        raise DataError("theta must lie in (0, 1)")
+    return one_sided_pvalues(zv)
+
+
+def _bh_result(pvals: np.ndarray, level: float, theta: float) -> SelectionResult:
+    """BH step-up on `pvals` at `level`, reported at the requested `theta`."""
     p = pvals.size
     order = np.argsort(pvals, kind="stable")
-    sorted_p = pvals[order]
     thresholds = level * np.arange(1, p + 1) / p
-    passing = np.nonzero(sorted_p <= thresholds)[0]
+    passing = np.nonzero(pvals[order] <= thresholds)[0]
     k = int(passing[-1]) + 1 if passing.size else 0
-    return order, k
+    decisions = np.zeros(p, dtype=int)
+    decisions[order[:k]] = 1
+    return SelectionResult(
+        decisions=decisions,
+        k=k,
+        threshold=float(theta),
+        conditional_fdr=float("nan"),
+        conditional_fnr=float("nan"),
+    )
 
 
 def bh_select(z, theta: float) -> SelectionResult:
     """Benjamini-Hochberg at level theta on one-sided p-values from z."""
-    zv = np.asarray(z, dtype=float)
-    if zv.ndim != 1 or zv.size == 0:
-        raise DataError("z must be a nonempty 1-d vector")
-    if not 0.0 < theta < 1.0:
-        raise DataError("theta must lie in (0, 1)")
-    pvals = one_sided_pvalues(zv)
-    order, k = _bh_at_level(pvals, theta)
-    p = zv.size
-    decisions = np.zeros(p, dtype=int)
-    decisions[order[:k]] = 1
-    return SelectionResult(
-        decisions=decisions,
-        k=k,
-        threshold=float(theta),
-        conditional_fdr=float("nan"),
-        conditional_fnr=float("nan"),
-    )
+    return _bh_result(_baseline_pvalues(z, theta), theta, theta)
 
 
-def storey_select(z, theta: float, lambda_tune: float = 0.5) -> SelectionResult:
+def storey_select(z, theta: float) -> SelectionResult:
     """Adaptive BH: estimate the null fraction from p-values above
-    `lambda_tune`, then run BH at theta divided by that estimate."""
-    zv = np.asarray(z, dtype=float)
-    if zv.ndim != 1 or zv.size == 0:
-        raise DataError("z must be a nonempty 1-d vector")
-    if not 0.0 < theta < 1.0:
-        raise DataError("theta must lie in (0, 1)")
-    if not 0.0 < lambda_tune < 1.0:
-        raise DataError("lambda_tune must lie in (0, 1)")
-    pvals = one_sided_pvalues(zv)
-    p = zv.size
-    pi0_hat = np.sum(pvals > lambda_tune) / ((1.0 - lambda_tune) * p)
+    STOREY_LAMBDA, then run BH at theta divided by that estimate."""
+    pvals = _baseline_pvalues(z, theta)
+    pi0_hat = np.sum(pvals > STOREY_LAMBDA) / ((1.0 - STOREY_LAMBDA) * pvals.size)
     pi0_hat = min(float(pi0_hat), 1.0)
     level = theta / pi0_hat if pi0_hat > 0.0 else 1.0
-    level = min(level, 1.0)
-    order, k = _bh_at_level(pvals, level)
-    decisions = np.zeros(p, dtype=int)
-    decisions[order[:k]] = 1
-    return SelectionResult(
-        decisions=decisions,
-        k=k,
-        threshold=float(theta),
-        conditional_fdr=float("nan"),
-        conditional_fnr=float("nan"),
-    )
+    return _bh_result(pvals, min(level, 1.0), theta)

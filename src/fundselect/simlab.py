@@ -20,7 +20,7 @@ from .dependence import build_dependence
 from .errors import ConfigError, DataError, FundselectError
 from .mixture import GridConfig, MixtureParams, fit_mixture
 from .dvalues import compute_dvalues
-from .panel import FACTOR_COLUMNS, AlphaEstimates, FactorSeries, ReturnPanel, carhart_fit
+from .panel import FACTOR_COLUMNS, FactorSeries, ReturnPanel, carhart_fit
 from .selection import bh_select, select_fdr_stepup, storey_select
 from .streams import kahan_mean, substream
 
@@ -39,6 +39,9 @@ BASE_TAU2_SQ = 0.1
 _FACTOR_MEANS = (0.006, 0.0002, 0.0002, 0.004)
 _FACTOR_SDS = (0.045, 0.030, 0.030, 0.045)
 _RF_MONTHLY = 0.002
+
+# Hurst exponent of the d3 design's long-memory base.
+FGN_HURST = 0.9
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,11 @@ def true_mixture(sparsity: str) -> MixtureParams:
     )
 
 
-def fgn_covariance(p: int, hurst: float = 0.9) -> np.ndarray:
+def fgn_covariance(p: int) -> np.ndarray:
     """Long-memory banded matrix: M[i, j] depends on the lag k = |i - j| as
-    half the second difference of k^(2H)."""
+    half the second difference of k^(2H), H = FGN_HURST."""
     k = np.abs(np.subtract.outer(np.arange(p), np.arange(p))).astype(float)
-    two_h = 2.0 * hurst
+    two_h = 2.0 * FGN_HURST
     return 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
 
 
@@ -122,7 +125,7 @@ def epsilon_correlation(
         base = 0.8 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     elif kind == "d3":
         a = rng.uniform(-1.0, 1.0, size=(p, 10)) if a_matrix is None else a_matrix
-        base = fgn_covariance(p, 0.9)
+        base = fgn_covariance(p)
     else:
         raise ConfigError(f"unknown dependence kind {kind!r}")
     return _cov_to_corr(a @ a.T + base)
@@ -153,40 +156,22 @@ def generate_panel(
     rng: np.random.Generator,
     *,
     factors: FactorSeries | None = None,
-    base: AlphaEstimates | None = None,
-    mu: np.ndarray | None = None,
 ) -> tuple[ReturnPanel, FactorSeries, np.ndarray]:
     """Draw one synthetic panel; returns (panel, factors, true mu).
 
     Returns are alpha + factor exposure + correlated residual noise, where
-    alpha = mu * sigma. Betas and alpha-scales come from `base` (resampled
-    real estimates) when given, otherwise from the default synthetic source
-    (betas near the market, sigma uniform on [0.1, 0.5]). Residual sds are
-    back-solved so the pipeline's estimated alpha s.e. reproduces sigma.
-    Passing `mu` pins the standardized alphas instead of drawing them from
-    the sparsity mixture.
+    alpha = mu * sigma, mu comes from the sparsity mixture, betas sit near the
+    market and sigma is uniform on [0.1, 0.5]. Residual sds are back-solved so
+    the pipeline's estimated alpha s.e. reproduces sigma.
     """
     p = setting.p
     if factors is None:
         factors = synthetic_factors(setting.n_months, substream(setting.seed, "factors"))
     T = factors.factors.shape[0]
 
-    if mu is not None:
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (p,):
-            raise ConfigError(f"mu must have shape ({p},), got {mu.shape}")
-    else:
-        mu = true_mixture(setting.sparsity).draw_means(rng, p)
-
-    if base is not None:
-        take = rng.choice(base.beta_hat.shape[0], size=p, replace=p > base.beta_hat.shape[0])
-        betas = base.beta_hat[take]
-        sigma = base.sigma[take]
-    else:
-        betas = rng.normal(
-            loc=np.array([1.0, 0.2, 0.2, 0.2]), scale=0.5, size=(p, 4)
-        )
-        sigma = rng.uniform(0.1, 0.5, size=p)
+    mu = true_mixture(setting.sparsity).draw_means(rng, p)
+    betas = rng.normal(loc=np.array([1.0, 0.2, 0.2, 0.2]), scale=0.5, size=(p, 4))
+    sigma = rng.uniform(0.1, 0.5, size=p)
 
     h = _intercept_extractor(factors)
     h_norm = float(np.linalg.norm(h))
@@ -231,8 +216,6 @@ def planted_panel(
     n_planted: int,
     alpha_monthly: float,
     seed: int,
-    *,
-    start_year: int = 2000,
 ) -> tuple[ReturnPanel, FactorSeries, np.ndarray]:
     """Return-scale panel with a known planted subset; returns (panel,
     factors, planted mask).
@@ -249,9 +232,7 @@ def planted_panel(
     if not 0 <= n_planted <= p:
         raise ConfigError(f"n_planted must be in [0, {p}], got {n_planted}")
     rng = substream(seed, "planted-panel")
-    dates = tuple(
-        f"{start_year + i // 12:04d}-{i % 12 + 1:02d}" for i in range(n_months)
-    )
+    dates = tuple(f"{2000 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(n_months))
     means = (0.005, 0.001, 0.001, 0.002)
     sds = (0.015, 0.008, 0.008, 0.010)
     fac = np.column_stack(

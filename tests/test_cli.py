@@ -353,7 +353,7 @@ def test_invalid_simulation_setting_exits_2(capsys):
     assert "[config-error]" in capsys.readouterr().err
 
 
-def test_failing_commands_leave_no_files(dvalue_csv, panel_files, tmp_path, monkeypatch):
+def test_failing_commands_leave_no_files(dvalue_csv, panel_files, tmp_path, monkeypatch, capsys):
     """A command rejected before it writes any output writes no manifest
     either, not even into the default --out (the working directory)."""
     cwd = tmp_path / "cwd"
@@ -362,6 +362,12 @@ def test_failing_commands_leave_no_files(dvalue_csv, panel_files, tmp_path, monk
     assert main(["fit"]) == 2
     assert main(["select", "--dvalues", dvalue_csv, "--returns", panel_files["returns"]]) == 2
     assert main(["simulate", "--p", "10", "--reps", "1"]) == 2
+    panel = ["--returns", panel_files["returns"], "--factors", panel_files["factors"]]
+    capsys.readouterr()
+    for window, why in (("2000-1:2004-12", "bad date '2000-1'"),
+                        ("2004-12:2000-01", "window 2004-12..2000-01 is reversed")):
+        assert main(["fit", *panel, "--window", window]) == 2
+        assert f"[config-error] argument --window: {why}" in capsys.readouterr().err
     assert list(cwd.iterdir()) == []
 
 

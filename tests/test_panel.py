@@ -13,8 +13,8 @@ from fundselect.panel import (
     ReturnPanel,
     _parse_factors_csv,
     _parse_returns_csv,
+    assemble_window,
     carhart_fit,
-    load_panel,
     month_index,
     month_range,
 )
@@ -30,6 +30,11 @@ def _write_files(tmp_path, returns_rows, factor_rows):
         "date,mkt_rf,smb,hml,mom,rf\n" + "".join(r + "\n" for r in factor_rows)
     )
     return str(returns_csv), str(factors_csv)
+
+
+def _load(returns_csv, factors_csv, window):
+    """Parse both files and assemble the window, as the CLI does."""
+    return assemble_window(_parse_returns_csv(returns_csv), _parse_factors_csv(factors_csv), window)
 
 
 def _factor_rows(months):
@@ -68,17 +73,10 @@ def test_load_panel_drops_zero_sentinel_and_incomplete(tmp_path):
             rows.append(f"{m},C,0.005")
     returns_csv, factors_csv = _write_files(tmp_path, rows, _factor_rows(months))
 
-    log_path = tmp_path / "clean.json"
-    panel, factors = load_panel(
-        returns_csv, factors_csv, ("2010-01", "2010-12"), cleaning_log_path=str(log_path)
-    )
+    panel, factors, log = _load(returns_csv, factors_csv, ("2010-01", "2010-12"))
     assert panel.fund_ids == ("A",)
     assert panel.n_months == 12
     assert factors.factors.shape == (12, 4)
-
-    import json
-
-    log = json.loads(log_path.read_text())
     assert log["dropped_zero"] == ["B"]
     assert log["dropped_incomplete"] == ["C"]
     assert log["retained"] == 1
@@ -89,7 +87,7 @@ def test_load_panel_requires_twelve_months(tmp_path):
     rows = [f"{m},A,0.01" for m in months]
     returns_csv, factors_csv = _write_files(tmp_path, rows, _factor_rows(months))
     with pytest.raises(DataError, match="12"):
-        load_panel(returns_csv, factors_csv, ("2010-01", "2010-06"))
+        _load(returns_csv, factors_csv, ("2010-01", "2010-06"))
 
 
 def test_load_panel_flags_missing_factor_month(tmp_path):
@@ -97,7 +95,7 @@ def test_load_panel_flags_missing_factor_month(tmp_path):
     rows = [f"{m},A,0.01" for m in months]
     returns_csv, factors_csv = _write_files(tmp_path, rows, _factor_rows(months[:-1]))
     with pytest.raises(DataError, match="2010-12"):
-        load_panel(returns_csv, factors_csv, ("2010-01", "2010-12"))
+        _load(returns_csv, factors_csv, ("2010-01", "2010-12"))
 
 
 def test_load_panel_no_eligible_funds(tmp_path):
@@ -105,7 +103,7 @@ def test_load_panel_no_eligible_funds(tmp_path):
     rows = [f"{m},A,0.0" for m in months]  # all zero-sentinel
     returns_csv, factors_csv = _write_files(tmp_path, rows, _factor_rows(months))
     with pytest.raises(DataError, match="no eligible funds"):
-        load_panel(returns_csv, factors_csv, ("2010-01", "2010-12"))
+        _load(returns_csv, factors_csv, ("2010-01", "2010-12"))
 
 
 def test_returns_parser_line_numbers_and_duplicates(tmp_path):
@@ -113,7 +111,7 @@ def test_returns_parser_line_numbers_and_duplicates(tmp_path):
     rows = [f"{m},A,0.01" for m in months] + ["2010-03,A,0.02"]
     returns_csv, factors_csv = _write_files(tmp_path, rows, _factor_rows(months))
     with pytest.raises(DataError, match=":14"):
-        load_panel(returns_csv, factors_csv, ("2010-01", "2010-12"))
+        _load(returns_csv, factors_csv, ("2010-01", "2010-12"))
 
 
 def test_returns_parser_rejects_non_numeric(tmp_path):
@@ -121,7 +119,7 @@ def test_returns_parser_rejects_non_numeric(tmp_path):
     rows = [f"{m},A,0.01" for m in months[:-1]] + [f"{months[-1]},A,oops"]
     returns_csv, factors_csv = _write_files(tmp_path, rows, _factor_rows(months))
     with pytest.raises(DataError, match="oops"):
-        load_panel(returns_csv, factors_csv, ("2010-01", "2010-12"))
+        _load(returns_csv, factors_csv, ("2010-01", "2010-12"))
 
 
 def _noiseless_panel(T=60, p=5, seed=7):
@@ -258,7 +256,10 @@ def _reference_parse_returns_csv(path):
             if len(row) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
             date, fund, ret_s = row[0].strip(), row[1].strip(), row[2].strip()
-            month_index(date)  # validates format
+            try:
+                month_index(date)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             if not fund:
                 raise DataError(f"{path}:{lineno}: empty fund_id")
             try:
@@ -318,9 +319,11 @@ _HEADER = "date,fund_id,ret"
         pytest.param("", [], ": expected header", id="empty-file"),
         pytest.param(_HEADER, [*_GOOD, "2001-03,A"], ":6: expected 3 fields", id="too-few-fields"),
         pytest.param(_HEADER, [*_GOOD, "2001-03,A,1,2"], ":6: expected 3", id="too-many-fields"),
-        pytest.param(_HEADER, [*_GOOD, "2001-3,A,0.1"], "bad date '2001-3'", id="bad-date"),
-        pytest.param(_HEADER, [*_GOOD, "2001-13,A,0.1"], "month out of range", id="month-13"),
-        pytest.param(_HEADER, [*_GOOD, "2001-00,C,0.1"], "month out of range", id="month-0"),
+        pytest.param(_HEADER, [*_GOOD, "2001-3,A,0.1"], ":6: bad date '2001-3'", id="bad-date"),
+        pytest.param(_HEADER, [*_GOOD, "2001-13,A,0.1"], ":6: bad date '2001-13': month out",
+                     id="month-13"),
+        pytest.param(_HEADER, [*_GOOD, "2001-00,C,0.1"], ":6: bad date '2001-00': month out",
+                     id="month-0"),
         pytest.param(_HEADER, [*_GOOD, "2001-03,  ,0.1"], ":6: empty fund_id", id="blank-fund-id"),
         pytest.param(_HEADER, [*_GOOD, '2001-03,"",0.1'], ":6: empty fund_id", id="empty-fund-id"),
         pytest.param(_HEADER, [*_GOOD, "2001-03,A,oops"], ":6: bad return", id="bad-return"),
@@ -431,3 +434,16 @@ def test_factors_csv_round_trips(tmp_path_factory, table):
     for date, vals in table.items():
         row, rf = got[date]
         assert row.tolist() == list(vals[:4]) and rf == vals[4]
+
+
+@pytest.mark.parametrize(
+    "date,expect",
+    [pytest.param("2001-3", ":3: bad date '2001-3': expected YYYY-MM", id="bad-date"),
+     pytest.param("2001-13", ":3: bad date '2001-13': month out of range", id="month-13")],
+)
+def test_factors_parser_names_the_line_of_a_bad_date(tmp_path, date, expect):
+    path = tmp_path / "factors.csv"
+    path.write_text(f"date,mkt_rf,smb,hml,mom,rf\n2001-01,0,0,0,0,0\n{date},0,0,0,0,0\n")
+    with pytest.raises(DataError) as info:
+        _parse_factors_csv(str(path))
+    assert str(info.value) == f"{path}{expect}"

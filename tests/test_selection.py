@@ -290,8 +290,6 @@ def test_baseline_validation():
         bh_select(np.zeros(0), theta=0.1)
     with pytest.raises(DataError):
         bh_select(np.zeros(3), theta=1.5)
-    with pytest.raises(DataError):
-        storey_select(np.zeros(3), theta=0.1, lambda_tune=1.0)
 
 
 # ---------------------------------------------------------------------------

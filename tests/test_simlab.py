@@ -6,7 +6,7 @@ import pytest
 import fundselect.simlab as simlab
 from fundselect.errors import ConfigError, DataError, FundselectError
 from fundselect.mixture import GridConfig
-from fundselect.panel import AlphaEstimates, carhart_fit
+from fundselect.panel import carhart_fit
 from fundselect.simlab import (
     SimMetrics,
     SimSetting,
@@ -63,7 +63,7 @@ def test_zero_loadings_give_identity_correlation():
 
 
 def test_long_memory_base_has_unit_diagonal():
-    m = fgn_covariance(25, hurst=0.9)
+    m = fgn_covariance(25)
     np.testing.assert_allclose(np.diag(m), 1.0, atol=1e-12)
     # covariances decay but stay positive under long memory
     assert m[0, 1] > m[0, 10] > 0.0
@@ -112,31 +112,6 @@ def test_generate_panel_draws_mu_from_the_sparsity_mixture():
     spike_frac = float(np.mean(draws == 0.0))
     assert 0.08 < spike_frac < 0.12  # pi0 = 0.1
     assert -0.16 < float(draws.mean()) < -0.06  # pi1*nu1 + pi2*nu2 = -0.11
-
-
-def test_generate_panel_respects_pinned_mu_and_validates_shape():
-    setting = SimSetting(p=60, sparsity="s1", dependence="d1", theta=0.1, reps=1, seed=5)
-    pinned = np.linspace(-1.0, 1.0, 60)
-    _, _, mu = generate_panel(setting, substream(5, "rep", 0), mu=pinned)
-    np.testing.assert_array_equal(mu, pinned)
-    with pytest.raises(ConfigError):
-        generate_panel(setting, substream(5, "rep", 0), mu=np.zeros(59))
-
-
-def test_generate_panel_resamples_from_supplied_estimates():
-    base = AlphaEstimates(
-        fund_ids=("A", "B", "C"),
-        alpha_hat=np.zeros(3),
-        beta_hat=np.array([[1.0, 0.1, 0.1, 0.1], [0.8, 0.2, 0.0, 0.3], [1.2, 0.0, 0.2, 0.1]]),
-        sigma=np.array([0.2, 0.3, 0.4]),
-        z=np.zeros(3),
-        residuals=np.zeros((120, 3)),
-        h=np.zeros(120),
-        excess_returns=np.zeros((120, 3)),
-    )
-    setting = SimSetting(p=60, sparsity="s1", dependence="d1", theta=0.1, reps=1, seed=5)
-    panel, factors, _ = generate_panel(setting, substream(5, "rep", 0), base=base)
-    assert panel.returns.shape == (120, 60)
 
 
 def test_generated_panel_carries_the_planted_skill_into_z():
