@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +10,8 @@ from .dependence import build_dependence
 from .dvalues import compute_dvalues
 from .errors import ConfigError, DataError, FitFailedError
 from .mixture import GridConfig, fit_mixture
-from .panel import _parse_factors_csv, _parse_returns_csv, assemble_window, carhart_fit
+from .panel import (_parse_factors_csv, _parse_monthly_csv, _parse_returns_csv,
+                    assemble_window, carhart_fit)
 from .selection import bh_select, select_fdr_stepup, storey_select
 from .streams import substream
 
@@ -73,27 +73,8 @@ class PortfolioTrack:
 
 
 def _parse_benchmark_csv(path: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["date", "ret"]:
-            raise DataError(f"{path}: expected header 'date,ret'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            date = row[0].strip()
-            try:
-                val = float(row[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric return {row[1]!r}") from None
-            if not np.isfinite(val):
-                raise DataError(f"{path}:{lineno}: non-finite return")
-            if date in out:
-                raise DataError(f"{path}:{lineno}: duplicate month {date}")
-            out[date] = val
+    """Read the benchmark file (``date,ret``) into {date: ret}."""
+    out = {date: vals[0] for date, vals in _parse_monthly_csv(path, ("ret",)).items()}
     if not out:
         raise DataError(f"{path}: no benchmark rows")
     return out
@@ -121,9 +102,8 @@ def _month_return(
         return float(np.mean(rets))
     if fallback == "hold-cash":
         return 0.0
-    assert benchmark is not None
     if month not in benchmark:
-        raise DataError(f"benchmark series missing month {month} needed for fallback")
+        raise DataError(f"benchmark series missing month {month}")
     return benchmark[month]
 
 
@@ -138,15 +118,15 @@ def run_backtest(
 
     For holding year y the estimation window is the `window_years` calendar
     years ending in December of y-1.  Selection at level theta runs once per
-    strategy (posterior step-up, BH, Storey); an `index` track is added when a
-    benchmark file is configured.
+    strategy (posterior step-up, BH, Storey); an `index` track, an empty
+    book that always falls back to the benchmark, is added when a benchmark
+    file is configured.
     """
     by_fund = _parse_returns_csv(returns_csv)
     by_date = _parse_factors_csv(factors_csv)
     benchmark = (
         _parse_benchmark_csv(config.benchmark_csv) if config.benchmark_csv else None
     )
-    grids = config.grids if config.grids is not None else GridConfig()
 
     years = list(range(config.start_year, config.end_year + 1))
     tracks = list(STRATEGIES) + (["index"] if benchmark is not None else [])
@@ -161,7 +141,7 @@ def run_backtest(
         fit_seed = int(substream(seed, "backtest-fit", year).integers(2**63))
         try:
             params, _diag = fit_mixture(
-                estimates.z, dep, grids=grids, seed=fit_seed
+                estimates.z, dep, grids=config.grids, seed=fit_seed
             )
         except FitFailedError:
             # A window where no grid point admits a valid moment solution gives
@@ -186,26 +166,20 @@ def run_backtest(
             for name, res in picked.items()
         }
         holdings["dvalue"] = dvalue_ids
+        holdings["index"] = []
 
         months = [f"{year}-{m:02d}" for m in range(1, 13) if f"{year}-{m:02d}" in by_date]
         if not months:
             raise DataError(f"factor series has no months in holding year {year}")
-        for name in STRATEGIES:
+        for name in tracks:
+            fallback = "hold-index" if name == "index" else config.fallback
             selections[name][year] = holdings[name]
             value = values[name][-1]
             for month in months:
                 value *= 1.0 + _month_return(
-                    holdings[name], month, by_fund, benchmark, config.fallback
+                    holdings[name], month, by_fund, benchmark, fallback
                 )
             values[name].append(value)
-        if benchmark is not None:
-            selections["index"][year] = []
-            value = values["index"][-1]
-            for month in months:
-                if month not in benchmark:
-                    raise DataError(f"benchmark series missing month {month}")
-                value *= 1.0 + benchmark[month]
-            values["index"].append(value)
 
     return PortfolioTrack(years=years, values=values, selections=selections)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,7 +36,7 @@ from .panel import (
     _parse_returns_csv,
     assemble_window,
     carhart_fit,
-    month_range,
+    window_months,
 )
 from .selection import (
     bh_select,
@@ -62,7 +63,7 @@ def _window_arg(text: str) -> tuple[str, str]:
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise argparse.ArgumentTypeError(f"window must be START:END, got {text!r}")
     try:
-        month_range(parts[0], parts[1])
+        window_months(parts[0], parts[1])
     except DataError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return parts[0], parts[1]
@@ -332,29 +333,33 @@ def _selection_summary(res) -> dict:
 def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     """Read a d-value CSV (our own output format, or any file with at least a
     fund_id and d_value column); a leading '# manifest:' line is skipped.
-    Fields follow CSV quoting, so a quoted fund id may contain commas; every
-    record is one line. Blank lines are skipped; line numbers in error
-    messages count the non-blank lines from the header on, which is line 1."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if lines and lines[0].startswith("#"):
-        lines = lines[1:]
-    if not lines:
-        raise DataError(f"{path}: empty d-value file")
-    records = []
-    for lineno, line in enumerate(lines, start=1):
+    Fields follow CSV quoting, so a quoted fund id may contain commas, but
+    every record is one line. Blank lines are skipped; error messages name
+    the file's own line numbers."""
+    records: list[tuple[int, list[str]]] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        lineno = 1
         try:
-            records.append(next(csv.reader([line])))
+            for cells in reader:
+                if reader.line_num != lineno:
+                    raise DataError(f"{path}:{lineno}: a quoted field spans lines")
+                if len(cells) > 1 or (cells and cells[0].strip()):
+                    records.append((lineno, cells))
+                lineno = reader.line_num + 1
         except csv.Error as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    header = [c.strip() for c in records[0]]
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if records and records[0][1][0].startswith("#"):
+        records = records[1:]
+    if not records:
+        raise DataError(f"{path}: empty d-value file")
+    header = [c.strip() for c in records[0][1]]
     if "fund_id" not in header or "d_value" not in header:
         raise DataError(f"{path}: need fund_id and d_value columns, got {header}")
     idx = {name: i for i, name in enumerate(header)}
     fund_ids: list[str] = []
     numeric: dict[str, list[float]] = {name: [] for name in header if name != "fund_id"}
-    for lineno, cells in enumerate(records[1:], start=2):
+    for lineno, cells in records[1:]:
         if len(cells) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
         fund_ids.append(cells[idx["fund_id"]].strip())
@@ -495,30 +500,11 @@ def _cmd_simulate(args, ctx: _RunContext) -> None:
             long_rows.append([i, name, _fmt(fdp), _fmt(fnp), int(sel)])
     ctx.write_csv("sim_reps.csv", ["rep", "method", "fdp", "fnp", "selected"], long_rows)
 
+    detail = {name: dataclasses.asdict(metrics[name]) for name in order}
+    for fields in detail.values():
+        del fields["method"]
     ctx.write_json(
-        "sim_detail.json",
-        {
-            "setting": {
-                "p": setting.p,
-                "sparsity": setting.sparsity,
-                "dependence": setting.dependence,
-                "theta": setting.theta,
-                "reps": setting.reps,
-                "seed": setting.seed,
-                "n_months": setting.n_months,
-            },
-            "metrics": {
-                name: {
-                    "mean_fdp": metrics[name].mean_fdp,
-                    "mean_fnp": metrics[name].mean_fnp,
-                    "mean_selected": metrics[name].mean_selected,
-                    "fdp": metrics[name].fdp,
-                    "fnp": metrics[name].fnp,
-                    "selected": metrics[name].selected,
-                }
-                for name in order
-            },
-        },
+        "sim_detail.json", {"setting": dataclasses.asdict(setting), "metrics": detail}
     )
 
 

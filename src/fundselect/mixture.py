@@ -29,7 +29,7 @@ share the batched helpers; a fixed seed and grids give the same fit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -88,17 +88,16 @@ class MixtureParams:
         """
         u = rng.random(p)
         normals = rng.standard_normal(p)
-        return _mixture_means([self], u[None], normals[None])[0]
+        return _mixture_means(np.array([astuple(self)]), u[None], normals[None])[0]
 
 
-def _mixture_means(params, u: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def _mixture_means(rows: np.ndarray, u: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Standardized alphas from uniforms and normals, both (k, p): row j
-    draws under params[j]. A uniform picks the component (spike below pi0,
-    then slab 1 below pi0 + pi1, else slab 2); a slab value is its mean plus
-    its standard deviation times the normal."""
-    pi0, pi1, nu0, nu1, nu2, tau1_sq, tau2_sq = np.array(
-        [(q.pi0, q.pi1, q.nu0, q.nu1, q.nu2, q.tau1_sq, q.tau2_sq) for q in params]
-    ).T[:, :, None]
+    draws under the parameters rows[j], MixtureParams' fields in order. A
+    uniform picks the component (spike below pi0, then slab 1 below
+    pi0 + pi1, else slab 2); a slab value is its mean plus its standard
+    deviation times the normal."""
+    pi0, pi1, _, nu0, nu1, nu2, tau1_sq, tau2_sq = rows.T[:, :, None]
     comp = (u >= pi0).astype(int) + (u >= pi0 + pi1).astype(int)
     return np.where(
         comp == 0,
@@ -424,23 +423,23 @@ def solve_moments(
     )
     if not feasible[0]:
         return None
-    pi1, pi2, u1, u2 = sols[0]
-    pi0, pi1, pi2 = _clip_weights(1.0 - pi1 - pi2, pi1, pi2)
-    return pi0, pi1, pi2, float(u1), float(u2)
+    pi0, pi1, pi2 = _clip_weights(sols[:, :2])[0].tolist()
+    return pi0, pi1, pi2, float(sols[0, 2]), float(sols[0, 3])
 
 
-def _clip_weights(pi0: float, pi1: float, pi2: float) -> tuple[float, float, float]:
-    w = np.clip([pi0, pi1, pi2], 0.0, 1.0)
-    w = w / w.sum()
-    return float(w[0]), float(w[1]), float(w[2])
+def _clip_weights(pi12: np.ndarray) -> np.ndarray:
+    """Rows (pi0, pi1, pi2) from rows (pi1, pi2): pi0 = 1 - pi1 - pi2, every
+    weight clipped to [0, 1], then each row renormalized to sum to one."""
+    w = np.clip(np.column_stack([1.0 - pi12[:, 0] - pi12[:, 1], pi12]), 0.0, 1.0)
+    return w / w.sum(axis=1, keepdims=True)
 
 
-def _simulate_rows(params, dep: DependenceModel, u: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def _simulate_rows(rows: np.ndarray, dep: DependenceModel, u: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Statistic vectors from uniforms u (k, p) and standard normals
-    (k, 2p + rank), row j under params[j]: each normals row holds the
+    (k, 2p + rank), row j under rows[j]: each normals row holds the
     component normals, the common-factor vector and the idiosyncratic vector."""
     p, rank = dep.p, dep.rank
-    mu = _mixture_means(params, u, normals[:, :p])
+    mu = _mixture_means(rows, u, normals[:, :p])
     # One matrix-vector product per row: a single (k, rank) x (rank, p)
     # product sums in another order and changes the last bits.
     common = np.stack([dep.B @ w for w in normals[:, p : p + rank]])
@@ -458,7 +457,7 @@ def simulate_z(params: MixtureParams, dep: DependenceModel, seed) -> np.ndarray:
     p = dep.p
     u = rng.random(p)
     normals = rng.standard_normal(2 * p + dep.rank)
-    return _simulate_rows([params], dep, u[None], normals[None])[0]
+    return _simulate_rows(np.array([astuple(params)]), dep, u[None], normals[None])[0]
 
 
 def _bin_counts(x: np.ndarray, lo: np.ndarray, n_bins: np.ndarray) -> np.ndarray:
@@ -511,22 +510,22 @@ def total_variation(z: np.ndarray, z_sim: np.ndarray) -> float:
     return float(_tv_rows(a, b[None])[0])
 
 
-def _score_points(z: np.ndarray, dep: DependenceModel, params, rngs) -> np.ndarray:
+def _score_points(z: np.ndarray, dep: DependenceModel, rows: np.ndarray, rngs) -> np.ndarray:
     """Score of each candidate: the mean of `_TV_DRAWS` values of
-    ``total_variation(z, simulate_z(params[j], dep, rngs[j]))``, drawn in
-    sequence from the candidate's own generator and summed in draw order."""
+    ``total_variation(z, simulate_z(MixtureParams(*rows[j]), dep, rngs[j]))``,
+    drawn in turn from the candidate's own generator and summed in order."""
     p = dep.p
     n_normal = 2 * p + dep.rank
     draws = [(rng.random(p), rng.standard_normal(n_normal))
              for rng in rngs for _ in range(_TV_DRAWS)]
     z_sim = _simulate_rows(
-        [q for q in params for _ in range(_TV_DRAWS)],
+        np.repeat(rows, _TV_DRAWS, axis=0),
         dep,
         np.stack([u for u, _ in draws]),
         np.stack([g for _, g in draws]),
     )
-    tv = _tv_rows(z, z_sim).reshape(len(params), _TV_DRAWS)
-    score = np.zeros(len(params))
+    tv = _tv_rows(z, z_sim).reshape(len(rows), _TV_DRAWS)
+    score = np.zeros(len(rows))
     for d in range(_TV_DRAWS):
         score += tv[:, d]
     return score / _TV_DRAWS
@@ -574,6 +573,7 @@ def fit_mixture(
     trace: list[dict] = []
     best_tv = np.inf
     best: tuple[MixtureParams, float, np.ndarray] | None = None
+    no_solution = (np.zeros(n_tau, dtype=bool), np.full((n_tau, 4), np.nan))
 
     for mi, m_pct in enumerate(grids.m_grid):
         cut = min(max(int(p * m_pct / 100.0), 1), p)
@@ -599,48 +599,33 @@ def fit_mixture(
             )
 
         for ni, nu0 in enumerate(grids.nu0_grid):
-            if lad_failed is not None:
-                for t1, t2 in tau_pairs:
-                    trace.append(
-                        {"m": m_pct, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2,
-                         "feasible": False, "tv": None}
-                    )
-                continue
-            h_hat = z - cv - nu0
-            mom = pooled_moments(h_hat, dep.eta_sq)
-            targets = np.asarray([mom.m1, mom.m2, mom.m3, mom.m4])
-            feasible, sols = _solve_moment_batch(
-                targets, tau1_arr, tau2_arr, eta_bar, eta4_bar
-            )
+            if lad_failed is None:
+                mom = pooled_moments(z - cv - nu0, dep.eta_sq)
+                targets = np.asarray([mom.m1, mom.m2, mom.m3, mom.m4])
+                feasible, sols = _solve_moment_batch(
+                    targets, tau1_arr, tau2_arr, eta_bar, eta4_bar
+                )
+            else:
+                feasible, sols = no_solution
+            # one candidate per variance pair, MixtureParams' fields in order
+            rows = np.column_stack([_clip_weights(sols[:, :2]), np.full(n_tau, nu0),
+                                    nu0 + sols[:, 2:], tau1_arr, tau2_arr])
             cell_base = (mi * len(grids.nu0_grid) + ni) * n_tau
             order = np.nonzero(feasible)[0].tolist()
-            candidates = {}
-            for ti in order:
-                t1, t2 = tau_pairs[ti]
-                pi1, pi2, u1, u2 = sols[ti]
-                pi0, pi1, pi2 = _clip_weights(1.0 - pi1 - pi2, pi1, pi2)
-                candidates[ti] = MixtureParams(
-                    pi0=pi0, pi1=pi1, pi2=pi2,
-                    nu0=float(nu0),
-                    nu1=float(nu0 + u1),
-                    nu2=float(nu0 + u2),
-                    tau1_sq=float(t1), tau2_sq=float(t2),
-                )
             scores = {}
             for start in range(0, len(order), _SCORE_CHUNK):
                 chunk = order[start : start + _SCORE_CHUNK]
                 scores.update(zip(chunk, _score_points(
-                    z, dep,
-                    [candidates[ti] for ti in chunk],
+                    z, dep, rows[chunk],
                     [substream(seed, "fit_tv", cell_base + ti) for ti in chunk],
                 ).tolist()))
             for ti, (t1, t2) in enumerate(tau_pairs):
-                rec = {"m": m_pct, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2,
-                       "feasible": bool(feasible[ti]), "tv": scores.get(ti)}
-                if rec["feasible"] and scores[ti] < best_tv:
-                    best_tv = scores[ti]
-                    best = (candidates[ti], float(m_pct), v_hat.copy())
-                trace.append(rec)
+                tv = scores.get(ti)
+                trace.append({"m": m_pct, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2,
+                              "feasible": tv is not None, "tv": tv})
+                if tv is not None and tv < best_tv:
+                    best_tv = tv
+                    best = (MixtureParams(*rows[ti].tolist()), float(m_pct), v_hat.copy())
 
     if best is None:
         raise FitFailedError(

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 FACTOR_COLUMNS = ("mkt_rf", "smb", "hml", "mom")
+MIN_WINDOW_MONTHS = 12  # shortest estimation window a fit accepts
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 
@@ -53,6 +54,16 @@ def month_range(start: str, end: str) -> list[str]:
     if hi < lo:
         raise DataError(f"window {start}..{end} is reversed")
     return [f"{i // 12:04d}-{i % 12 + 1:02d}" for i in range(lo, hi + 1)]
+
+
+def window_months(start: str, end: str) -> list[str]:
+    """month_range of an estimation window of at least MIN_WINDOW_MONTHS."""
+    months = month_range(start, end)
+    if len(months) < MIN_WINDOW_MONTHS:
+        raise DataError(
+            f"window {start}..{end} spans {len(months)} months; need >= {MIN_WINDOW_MONTHS}"
+        )
+    return months
 
 
 @dataclass(eq=False)
@@ -154,10 +165,12 @@ def _parse_returns_csv(path: str) -> dict[str, dict[str, float]]:
     return by_fund
 
 
-def _parse_factors_csv(path: str) -> dict[str, tuple[np.ndarray, float]]:
-    """Read the factor file into {date: (factor row, rf)}."""
-    expected = ["date", *FACTOR_COLUMNS, "rf"]
-    out: dict[str, tuple[np.ndarray, float]] = {}
+def _parse_monthly_csv(path: str, columns: tuple[str, ...]) -> dict[str, list[float]]:
+    """Read a wide-form monthly file (header ``date`` then `columns`) into
+    {date: [values]}. Blank lines are skipped. A bad field count, date or
+    value, or a repeated month, raises DataError naming the file and line."""
+    expected = ["date", *columns]
+    out: dict[str, list[float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -166,20 +179,33 @@ def _parse_factors_csv(path: str) -> dict[str, tuple[np.ndarray, float]]:
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+            if len(row) != len(expected):
+                raise DataError(
+                    f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}"
+                )
             date = row[0].strip()
             _check_date(date, path, lineno)
             if date in out:
-                raise DataError(f"{path}:{lineno}: duplicate factor row for {date}")
-            try:
-                vals = [float(v) for v in row[1:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad factor value") from None
-            if not np.all(np.isfinite(vals)):
-                raise DataError(f"{path}:{lineno}: non-finite factor value")
-            out[date] = (np.asarray(vals[:4], dtype=float), vals[4])
+                raise DataError(f"{path}:{lineno}: duplicate month {date}")
+            vals = []
+            for name, cell in zip(columns, row[1:]):
+                try:
+                    val = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: non-numeric {name} {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(val):
+                    raise DataError(f"{path}:{lineno}: non-finite {name}")
+                vals.append(val)
+            out[date] = vals
     return out
+
+
+def _parse_factors_csv(path: str) -> dict[str, tuple[np.ndarray, float]]:
+    """Read the factor file into {date: (factor row, rf)}."""
+    rows = _parse_monthly_csv(path, (*FACTOR_COLUMNS, "rf"))
+    return {date: (np.asarray(vals[:4], dtype=float), vals[4]) for date, vals in rows.items()}
 
 
 def assemble_window(
@@ -189,9 +215,7 @@ def assemble_window(
 ) -> tuple[ReturnPanel, FactorSeries, dict]:
     """Clean and align already-parsed data over `window`; returns the cleaning
     log as the third element."""
-    months = month_range(window[0], window[1])
-    if len(months) < 12:
-        raise DataError(f"window {window[0]}..{window[1]} spans {len(months)} months; need >= 12")
+    months = window_months(window[0], window[1])
 
     missing_factor_months = [m for m in months if m not in by_date]
     if missing_factor_months:
@@ -262,6 +286,16 @@ def _check_design_rank(design: np.ndarray) -> None:
     )
 
 
+def _factor_regression(factors: FactorSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The regression design [1, factors] (T x 5) and its coefficient
+    extractor (5 x T), whose first row is the intercept extractor h; raises
+    if the design is singular."""
+    design = np.column_stack([np.ones(factors.factors.shape[0]), factors.factors])
+    _check_design_rank(design)
+    # One solve gives the whole coefficient extractor.
+    return design, np.linalg.solve(design.T @ design, design.T)
+
+
 def carhart_fit(panel: ReturnPanel, factors: FactorSeries) -> AlphaEstimates:
     """Regress each fund's excess return on the four factors plus a constant.
 
@@ -272,17 +306,12 @@ def carhart_fit(panel: ReturnPanel, factors: FactorSeries) -> AlphaEstimates:
     """
     if panel.dates != factors.dates:
         raise DataError("panel and factor dates are not aligned")
-    T, p = panel.returns.shape
+    T = panel.returns.shape[0]
     if T <= 6:
         raise DataError(f"window of {T} months cannot identify 5 coefficients")
 
+    design, extractor = _factor_regression(factors)
     excess = panel.returns - factors.rf[:, None]
-    design = np.column_stack([np.ones(T), factors.factors])
-    _check_design_rank(design)
-
-    # One solve gives the whole coefficient extractor; its first row is h.
-    gram = design.T @ design
-    extractor = np.linalg.solve(gram, design.T)  # 5 x T
     h = extractor[0]
     coefs = extractor @ excess  # 5 x p
     alpha = coefs[0]

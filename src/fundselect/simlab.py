@@ -20,7 +20,7 @@ from .dependence import build_dependence
 from .errors import ConfigError, DataError, FundselectError
 from .mixture import GridConfig, MixtureParams, fit_mixture
 from .dvalues import compute_dvalues
-from .panel import FACTOR_COLUMNS, FactorSeries, ReturnPanel, carhart_fit
+from .panel import FACTOR_COLUMNS, FactorSeries, ReturnPanel, _factor_regression, carhart_fit
 from .selection import bh_select, select_fdr_stepup, storey_select
 from .streams import kahan_mean, substream
 
@@ -145,12 +145,6 @@ def synthetic_factors(n_months: int, rng: np.random.Generator) -> FactorSeries:
     )
 
 
-def _intercept_extractor(factors: FactorSeries) -> np.ndarray:
-    T = factors.factors.shape[0]
-    design = np.column_stack([np.ones(T), factors.factors])
-    return np.linalg.solve(design.T @ design, design.T)[0]
-
-
 def generate_panel(
     setting: SimSetting,
     rng: np.random.Generator,
@@ -173,29 +167,19 @@ def generate_panel(
     betas = rng.normal(loc=np.array([1.0, 0.2, 0.2, 0.2]), scale=0.5, size=(p, 4))
     sigma = rng.uniform(0.1, 0.5, size=p)
 
-    h = _intercept_extractor(factors)
-    h_norm = float(np.linalg.norm(h))
+    h_norm = float(np.linalg.norm(_factor_regression(factors)[1][0]))
     factor_cov = np.cov(factors.factors, rowvar=False, ddof=1)
     factor_var = np.einsum("ij,jk,ik->i", betas, factor_cov, betas)
     resid_var = np.maximum((sigma / h_norm) ** 2 - factor_var, 1e-6)
     resid_sd = np.sqrt(resid_var)
 
-    corr = None
-    for attempt in range(5):
-        cand = epsilon_correlation(
-            setting.dependence, p, rng if attempt == 0 else substream(setting.seed, "eps-retry", attempt)
-        )
-        try:
-            chol = np.linalg.cholesky(cand)
-        except np.linalg.LinAlgError:
-            continue
-        corr = cand
-        break
-    if corr is None:
+    # a a' plus a positive-definite base is positive definite
+    try:
+        chol = np.linalg.cholesky(epsilon_correlation(setting.dependence, p, rng))
+    except np.linalg.LinAlgError:
         raise DataError(
-            f"residual correlation for {setting.dependence} was not positive definite "
-            "after 5 attempts"
-        )
+            f"residual correlation for {setting.dependence} is not positive definite"
+        ) from None
 
     shocks = rng.standard_normal((T, p)) @ chol.T
     eps = shocks * resid_sd[None, :]

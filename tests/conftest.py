@@ -9,6 +9,13 @@ from fundselect.dependence import dependence_from_correlation
 from fundselect.mixture import GridConfig
 
 
+def pytest_collection_modifyitems(items):
+    """Mark the acceptance gates, so `-m "not acceptance"` runs the unit suite."""
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.acceptance)
+
+
 @pytest.fixture
 def coarse_grids():
     """Small search grids so fit tests stay fast.

@@ -134,6 +134,25 @@ def test_benchmark_parser_rejects_malformed_files(tmp_path):
     with pytest.raises(DataError, match="no benchmark rows"):
         _parse_benchmark_csv(str(empty))
 
+    extra = tmp_path / "x.csv"
+    extra.write_text("date,ret\n2005-01,0.01\n2005-02,0.01,0.02\n")
+    with pytest.raises(DataError) as info:
+        _parse_benchmark_csv(str(extra))
+    assert str(info.value) == f"{extra}:3: expected 2 fields, got 3"
+
+
+@pytest.mark.parametrize(
+    "date,why",
+    [pytest.param("2010-1", "expected YYYY-MM", id="bad-date"),
+     pytest.param("2010-13", "month out of range", id="month-13")],
+)
+def test_benchmark_parser_names_the_line_of_a_bad_date(tmp_path, date, why):
+    path = tmp_path / "bench.csv"
+    path.write_text(f"date,ret\n2010-02,0.01\n{date},0.02\n")
+    with pytest.raises(DataError) as info:
+        _parse_benchmark_csv(str(path))
+    assert str(info.value) == f"{path}:3: bad date {date!r}: {why}"
+
 
 # ---------------------------------------------------------------------------
 # full runs on a small planted panel (7 years of data, 2-year backtest)
@@ -242,6 +261,27 @@ def test_backtest_is_deterministic(planted_run):
         )
     assert again.values == planted_run["track"].values
     assert again.selections == planted_run["track"].selections
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_index_track_needs_every_benchmark_month(planted_run, tmp_path):
+    """The index track compounds the benchmark whatever the strategies'
+    fallback, so a month missing from it fails the run under hold-cash too."""
+    months = [m for m in _holding_months([2006]) if m != "2006-07"]
+    config = BacktestConfig(
+        start_year=2006,
+        end_year=2006,
+        window_years=5,
+        theta=0.15,
+        benchmark_csv=_write_benchmark(tmp_path, months, [0.004] * len(months)),
+        n_samples=300,
+        grids=planted_run["config"].grids,
+    )
+    assert config.fallback == "hold-cash"
+    with pytest.raises(DataError, match="missing month 2006-07"):
+        run_backtest(
+            planted_run["returns_csv"], planted_run["factors_csv"], config, seed=3
+        )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

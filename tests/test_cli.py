@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import write_panel_csvs
 from fundselect.cli import _read_dvalue_csv, main
-from fundselect.errors import FitFailedError
+from fundselect.errors import DataError, FitFailedError
 from fundselect.selection import select_fdr_stepup
 from fundselect.simlab import planted_panel
 
@@ -295,6 +295,22 @@ def test_malformed_dvalue_file_exits_3(tmp_path, capsys):
     assert "needs a z column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body,expect",
+    [pytest.param("F1,0.5\n\nF2,abc\n", ":5: non-numeric d_value", id="after-blank-line"),
+     pytest.param('"F1\nClass A",0.5\nF2,0.2\n', ":3: a quoted field spans lines",
+                  id="id-spans-lines")],
+)
+def test_dvalue_file_errors_name_the_physical_line(tmp_path, body, expect):
+    """Line numbers count every line of the file: the manifest line, the
+    header and blank lines included."""
+    path = tmp_path / "dv.csv"
+    path.write_text(f"# manifest: manifest-abcdef123456.json\nfund_id,d_value\n{body}")
+    with pytest.raises(DataError) as info:
+        _read_dvalue_csv(str(path))
+    assert str(info.value) == f"{path}{expect}"
+
+
 # Single-line fund ids without surrounding whitespace, which the reader strips.
 _FUND_IDS = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=12
@@ -365,7 +381,8 @@ def test_failing_commands_leave_no_files(dvalue_csv, panel_files, tmp_path, monk
     panel = ["--returns", panel_files["returns"], "--factors", panel_files["factors"]]
     capsys.readouterr()
     for window, why in (("2000-1:2004-12", "bad date '2000-1'"),
-                        ("2004-12:2000-01", "window 2004-12..2000-01 is reversed")):
+                        ("2004-12:2000-01", "window 2004-12..2000-01 is reversed"),
+                        ("2003-01:2003-06", "window 2003-01..2003-06 spans 6 months; need >= 12")):
         assert main(["fit", *panel, "--window", window]) == 2
         assert f"[config-error] argument --window: {why}" in capsys.readouterr().err
     assert list(cwd.iterdir()) == []

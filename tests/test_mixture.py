@@ -1,6 +1,7 @@
 """Mixture-prior machinery: LAD factor removal, moment inversion, TV-scored grid fit."""
 
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from fundselect.mixture import (
     GridConfig,
     MixtureParams,
     PooledMoments,
-    _clip_weights,
     _jacobian,
     _newton_starts,
     _residuals,
@@ -501,6 +501,13 @@ def _ref_total_variation(a, b):
     return float(min(0.5 * np.abs(pa / a.size - pb / b.size).sum(), 1.0))
 
 
+def _ref_clip_weights(pi0, pi1, pi2):
+    """The weights clipped to [0, 1] and renormalized, one point at a time."""
+    w = np.clip([pi0, pi1, pi2], 0.0, 1.0)
+    w = w / w.sum()
+    return float(w[0]), float(w[1]), float(w[2])
+
+
 def _ref_fit(z, dep, grids, seed):
     """The grid search one point at a time: same trace, params and winner."""
     p = z.size
@@ -539,7 +546,7 @@ def _ref_fit(z, dep, grids, seed):
                        "feasible": bool(feasible[ti]), "tv": None}
                 if feasible[ti]:
                     pi1, pi2, u1, u2 = sols[ti]
-                    pi0, pi1, pi2 = _clip_weights(1.0 - pi1 - pi2, pi1, pi2)
+                    pi0, pi1, pi2 = _ref_clip_weights(1.0 - pi1 - pi2, pi1, pi2)
                     params = MixtureParams(
                         pi0=pi0, pi1=pi1, pi2=pi2, nu0=float(nu0),
                         nu1=float(nu0 + u1), nu2=float(nu0 + u2),
@@ -695,7 +702,7 @@ def test_batched_simulation_matches_four_draw_reference():
         rngs = [np.random.default_rng(k) for k in range(len(params))]
         u = np.stack([rng.random(p) for rng in rngs])
         normals = np.stack([rng.standard_normal(2 * p + dep.rank) for rng in rngs])
-        block = _simulate_rows(params, dep, u, normals)
+        block = _simulate_rows(np.array([astuple(q) for q in params]), dep, u, normals)
         for j, q in enumerate(params):
             want = _ref_simulate_z(q, dep, np.random.default_rng(j))
             np.testing.assert_array_equal(block[j], want)
