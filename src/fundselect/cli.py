@@ -334,8 +334,8 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     """Read a d-value CSV (our own output format, or any file with at least a
     fund_id and d_value column); a leading '# manifest:' line is skipped.
     Fields follow CSV quoting, so a quoted fund id may contain commas, but
-    every record is one line. Blank lines are skipped; error messages name
-    the file's own line numbers."""
+    every record is one line, and each fund id appears once. Blank lines are
+    skipped; error messages name the file's own line numbers."""
     records: list[tuple[int, list[str]]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -358,11 +358,16 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
         raise DataError(f"{path}: need fund_id and d_value columns, got {header}")
     idx = {name: i for i, name in enumerate(header)}
     fund_ids: list[str] = []
+    seen: set[str] = set()
     numeric: dict[str, list[float]] = {name: [] for name in header if name != "fund_id"}
     for lineno, cells in records[1:]:
         if len(cells) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
-        fund_ids.append(cells[idx["fund_id"]].strip())
+        fund_id = cells[idx["fund_id"]].strip()
+        if fund_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate fund_id {fund_id!r}")
+        seen.add(fund_id)
+        fund_ids.append(fund_id)
         for name, vals in numeric.items():
             try:
                 vals.append(float(cells[idx[name]]))

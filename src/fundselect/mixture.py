@@ -14,20 +14,24 @@ scored by the histogram total-variation distance between the data and fresh
 simulations from the candidate model, and the smallest score wins (lexical
 grid order breaks ties).
 
-The search does this arithmetic in large NumPy batches. Per (m, nu0) cell,
-one damped Newton iteration solves every variance pair from eight starts at
-once, and works on each iteration only on the rows still moving: converged
-rows and rows whose step no halving could improve are fixed points and drop
-out. The feasible points are then scored in blocks of `_SCORE_CHUNK`: each
-point still draws from its own substream, the block's simulated statistic
-vectors are built as one 2-d array, and every row is binned against its own
-histogram edges in one pass. Every score equals, bit for bit, the score of
-the same point computed alone with `simulate_z` and `total_variation`, which
-share the batched helpers; a fixed seed and grids give the same fit.
+The search does this arithmetic in large NumPy batches. One damped Newton
+iteration solves every variance pair of every (m, nu0) cell from eight starts
+at once, each row against its own cell's moments, and works on each
+iteration only on the rows still moving: converged rows and rows whose step
+no halving could improve are fixed points and drop out, and a singular
+system stops only its own cell. Each cell's roots are bit-identical to
+solving that cell alone. The feasible points are then scored in blocks of
+`_SCORE_CHUNK`: each point still draws from its own substream, the block's
+simulated statistic vectors are built as one 2-d array, and every row is
+binned against its own histogram edges in one pass. Every score equals, bit
+for bit, the score of the same point computed alone with `simulate_z` and
+`total_variation`, which share the batched helpers; a fixed seed and grids
+give the same fit.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import astuple, dataclass, field
 
@@ -42,6 +46,13 @@ _TV_DRAWS = 5  # simulations averaged into each candidate's score
 _SCORE_CHUNK = 16  # feasible grid points simulated and binned together
 _PI_SLACK = 1e-8
 _RESID_TOL = 1e-8
+_N_STARTS = 8  # Newton starts per variance pair (`_newton_starts`)
+_SOLVE_ROWS = 32768  # Newton rows (cell x variance pair x start) iterated together
+# Step lengths 2**-j, j < 30, tried per Newton step: 1 alone (most steps
+# take it), then the halvings four at a time.
+_STEP_LENGTHS = [np.ones(1)] + [
+    np.ldexp(1.0, -np.arange(j, min(j + 4, 30))) for j in range(1, 30, 4)
+]
 
 
 @dataclass(frozen=True)
@@ -236,10 +247,11 @@ def forward_moments(
 
 
 def _residuals(x: np.ndarray, tau1, tau2, targets, eta_bar, eta4_bar) -> np.ndarray:
+    """Moment residuals of the points x (..., 4) = (pi1, pi2, u1, u2)."""
     m1, m2, m3, m4 = forward_moments(
-        x[:, 0], x[:, 1], x[:, 2], x[:, 3], tau1, tau2, eta_bar, eta4_bar
+        x[..., 0], x[..., 1], x[..., 2], x[..., 3], tau1, tau2, eta_bar, eta4_bar
     )
-    return np.stack([m1, m2, m3, m4], axis=1) - targets
+    return np.stack([m1, m2, m3, m4], axis=-1) - targets
 
 
 def _jacobian(x: np.ndarray, tau1, tau2, eta_bar, eta4_bar) -> np.ndarray:
@@ -293,7 +305,7 @@ def _newton_starts(targets: np.ndarray) -> np.ndarray:
         (0.1, 0.1),
         (0.05, 0.05),
     ]
-    out = np.empty((8, 4))
+    out = np.empty((_N_STARTS, 4))
     for i, ((u1, u2), (p1, p2)) in enumerate(zip(u_starts, pi_starts)):
         if abs(u1 - u2) < 1e-3:
             u2 = u1 + 1e-3
@@ -301,35 +313,52 @@ def _newton_starts(targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_moment_batch(
+def _newton_steps(
+    X: np.ndarray, R: np.ndarray, t1, t2, eta_bar: float, eta4_bar: float, cell: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ridged Gauss-Newton steps of the rows (X, R), and a mask of the rows
+    whose cell holds a singular system. np.linalg.solve refuses a whole batch
+    for one singular matrix, so after a refusal each cell is solved alone: a
+    cell refused again gets no steps, every other cell gets the steps a
+    batch of its rows alone gives."""
+    J = _jacobian(X, t1, t2, eta_bar, eta4_bar)
+    G = np.einsum("nij,nik->njk", J, J)
+    ridge = 1e-12 * (1.0 + np.trace(G, axis1=1, axis2=2))
+    G[:, np.arange(4), np.arange(4)] += ridge[:, None]
+    g = np.einsum("nij,ni->nj", J, R)
+    try:
+        return np.linalg.solve(G, g[..., None])[..., 0], np.zeros(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(g)
+    singular = np.zeros(len(g), dtype=bool)
+    for c in np.unique(cell).tolist():
+        mine = cell == c
+        try:
+            step[mine] = np.linalg.solve(G[mine], g[mine][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            singular[mine] = True
+    return step, singular
+
+
+def _newton_cells(
     targets: np.ndarray,
     tau1_arr: np.ndarray,
     tau2_arr: np.ndarray,
     eta_bar: float,
     eta4_bar: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped multi-start Newton over (pi1, pi2, u1, u2) for many variance pairs.
-
-    targets is (4,) (shared) and tau*_arr are (n,). Returns (feasible bool (n,),
-    solutions (n, 4)); infeasible rows are NaN.
-
-    Every row (variance pair x start) takes at most 60 Gauss-Newton steps,
-    each halved up to 30 times until the max-abs residual falls. Only live
-    rows are worked on: a row leaves the active set once it has converged
-    (residual < 1e-12) or once a step found no decrease in 30 halvings -- its
-    X, and so its step and every halving, would repeat unchanged, so it is a
-    fixed point. The 4x4 systems of rows that just converged are factored once
-    more, because a singular one ends the iteration for all rows, exactly as
-    when every row is solved on every iteration. The result is therefore
-    bit-identical to the full-batch iteration.
-    """
-    n = tau1_arr.shape[0]
-    n_start = 8
-    starts = _newton_starts(targets)
-    X = np.repeat(starts[None, :, :], n, axis=0).reshape(n * n_start, 4)
-    t1 = np.repeat(tau1_arr, n_start)
-    t2 = np.repeat(tau2_arr, n_start)
-    tgt = targets[None, :]
+    """The iteration of `_solve_moment_batch` for the cells of targets (k, 4)
+    together: the final X and max-abs residual of every row, rows in
+    (cell, variance pair, start) order. Each row carries its cell's target."""
+    k, n = targets.shape[0], tau1_arr.shape[0]
+    per_cell = n * _N_STARTS
+    starts = np.stack([_newton_starts(t) for t in targets])
+    X = np.repeat(starts[:, None], n, axis=1).reshape(k * per_cell, 4)
+    t1 = np.tile(np.repeat(tau1_arr, _N_STARTS), k)
+    t2 = np.tile(np.repeat(tau2_arr, _N_STARTS), k)
+    tgt = np.repeat(targets, per_cell, axis=0)
+    cell = np.repeat(np.arange(k), per_cell)
 
     R = _residuals(X, t1, t2, tgt, eta_bar, eta4_bar)
     rnorm = np.max(np.abs(R), axis=1)
@@ -339,65 +368,110 @@ def _solve_moment_batch(
     for _ in range(60):
         if live.size == 0:
             break
-        rows = np.concatenate([live, unchecked])
-        J = _jacobian(X[rows], t1[rows], t2[rows], eta_bar, eta4_bar)
-        G = np.einsum("nij,nik->njk", J, J)
-        ridge = 1e-12 * (1.0 + np.trace(G, axis1=1, axis2=2))
-        G[:, np.arange(4), np.arange(4)] += ridge[:, None]
-        g = np.einsum("nij,ni->nj", J, R[rows])
-        try:
-            step = np.linalg.solve(G, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        step = np.where(np.isfinite(step[: live.size]), step[: live.size], 0.0)
+        # a cell without live rows has stopped: its converged rows are not
+        # factored again
+        running = np.zeros(k, dtype=bool)
+        running[cell[live]] = True
+        rows = np.concatenate([live, unchecked[running[cell[unchecked]]]])
+        step, singular = _newton_steps(
+            X[rows], R[rows], t1[rows], t2[rows], eta_bar, eta4_bar, cell[rows]
+        )
+        keep = ~singular[: live.size]  # a singular system stops its own cell
+        live = live[keep]
+        step = step[: keep.size][keep]
+        step = np.where(np.isfinite(step), step, 0.0)
 
         X_live, rn_live = X[live], rnorm[live]
-        t1_live, t2_live = t1[live], t2[live]
-        alpha = np.ones(live.size)
+        t1_live, t2_live, tgt_live = t1[live], t2[live], tgt[live]
         accepted = np.zeros(live.size, dtype=bool)
-        for _bt in range(30):
-            work = np.nonzero(~accepted)[0]
+        work = np.arange(live.size)
+        for alpha in _STEP_LENGTHS:
             if work.size == 0:
                 break
-            Xc = X_live[work] - alpha[work, None] * step[work]
-            Rc = _residuals(Xc, t1_live[work], t2_live[work], tgt, eta_bar, eta4_bar)
-            rc = np.max(np.abs(Rc), axis=1)
-            ok = rc < rn_live[work]
-            ok = np.where(np.isfinite(rc), ok, False)
-            good = live[work[ok]]
-            X[good] = Xc[ok]
-            R[good] = Rc[ok]
-            rnorm[good] = rc[ok]
-            accepted[work[ok]] = True
-            alpha[work[~ok]] *= 0.5
+            # (rows, lengths, 4): every length of a row shares its taus and target
+            Xc = X_live[work, None] - alpha[:, None] * step[work, None]
+            Rc = _residuals(Xc, t1_live[work, None], t2_live[work, None],
+                            tgt_live[work, None], eta_bar, eta4_bar)
+            rc = np.max(np.abs(Rc), axis=2)
+            ok = (rc < rn_live[work, None]) & np.isfinite(rc)
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)[hit]  # the longest step that helps
+            good = live[work[hit]]
+            X[good] = Xc[hit, first]
+            R[good] = Rc[hit, first]
+            rnorm[good] = rc[hit, first]
+            accepted[work[hit]] = True
+            work = work[~hit]
         moved = live[accepted]
         converged = rnorm[moved] < 1e-12
         unchecked = moved[converged]
         live = moved[~converged]
+    return X, rnorm
 
-    pi1, pi2 = X[:, 0], X[:, 1]
-    pi0 = 1.0 - pi1 - pi2
-    # Components are identified by ordering their offsets (u1 <= u2); the
-    # mirror root of an unordered solution lives at the transposed variance
-    # pair, which the symmetric grid also visits, so nothing is lost.
-    valid = (
-        np.all(np.isfinite(X), axis=1)
-        & (rnorm < _RESID_TOL)
-        & (X[:, 2] <= X[:, 3])
-        & (pi1 >= -_PI_SLACK)
-        & (pi1 <= 1.0 + _PI_SLACK)
-        & (pi2 >= -_PI_SLACK)
-        & (pi2 <= 1.0 + _PI_SLACK)
-        & (pi0 >= -_PI_SLACK)
-        & (pi0 <= 1.0 + _PI_SLACK)
-    )
 
-    rnorm_sel = np.where(valid, rnorm, np.inf).reshape(n, n_start)
-    best_start = np.argmin(rnorm_sel, axis=1)
-    feasible = np.isfinite(rnorm_sel[np.arange(n), best_start])
-    chosen = X.reshape(n, n_start, 4)[np.arange(n), best_start]
-    chosen = np.where(feasible[:, None], chosen, np.nan)
-    return feasible, chosen
+def _solve_moment_batch(
+    targets: np.ndarray,
+    tau1_arr: np.ndarray,
+    tau2_arr: np.ndarray,
+    eta_bar: float,
+    eta4_bar: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped multi-start Newton over (pi1, pi2, u1, u2) for many cells and
+    variance pairs.
+
+    targets is (c, 4), one row of moment targets per cell, or (4,) for a
+    single cell; tau*_arr are (n,), the variance pairs every cell solves.
+    Returns (feasible bool (c, n), solutions (c, n, 4)), or (n,) and (n, 4)
+    for 1-d targets; infeasible rows are NaN.
+
+    Every row (cell x variance pair x start) takes at most 60 Gauss-Newton
+    steps; a step is scaled by the first of 1, 1/2, ..., 2**-29 that lowers
+    the max-abs residual, the length repeated halving from 1 accepts. The
+    lengths are tried in a few blocks (`_STEP_LENGTHS`), one residual pass
+    per block. The cells are stacked into one iteration, at most
+    `_SOLVE_ROWS` rows at a time. Only live rows are worked on: a row leaves
+    the active set once it has converged (residual < 1e-12) or once none of
+    the 30 lengths lowered its residual -- its X, and so its step and every
+    length, would repeat unchanged, so it is a fixed point. The 4x4 systems
+    of rows that just converged are factored once more while their cell has
+    live rows, because a singular one ends the iteration for every row of
+    its cell, exactly as when every row of the cell is solved on every
+    iteration. Every operation acts row by row, so each cell's result is
+    bit-identical to the full-batch iteration of that cell alone.
+    """
+    cells = np.atleast_2d(targets)
+    c, n = cells.shape[0], tau1_arr.shape[0]
+    feasible = np.zeros((c, n), dtype=bool)
+    chosen = np.full((c, n, 4), np.nan)
+    block = max(_SOLVE_ROWS // (n * _N_STARTS), 1)
+    for lo in range(0, c, block):
+        hi = min(lo + block, c)
+        X, rnorm = _newton_cells(cells[lo:hi], tau1_arr, tau2_arr, eta_bar, eta4_bar)
+        pi1, pi2 = X[:, 0], X[:, 1]
+        pi0 = 1.0 - pi1 - pi2
+        # Components are identified by ordering their offsets (u1 <= u2); the
+        # mirror root of an unordered solution lives at the transposed variance
+        # pair, which the symmetric grid also visits, so nothing is lost.
+        valid = (
+            np.all(np.isfinite(X), axis=1)
+            & (rnorm < _RESID_TOL)
+            & (X[:, 2] <= X[:, 3])
+            & (pi1 >= -_PI_SLACK)
+            & (pi1 <= 1.0 + _PI_SLACK)
+            & (pi2 >= -_PI_SLACK)
+            & (pi2 <= 1.0 + _PI_SLACK)
+            & (pi0 >= -_PI_SLACK)
+            & (pi0 <= 1.0 + _PI_SLACK)
+        )
+        pairs = (hi - lo) * n
+        rnorm_sel = np.where(valid, rnorm, np.inf).reshape(pairs, _N_STARTS)
+        best_start = np.argmin(rnorm_sel, axis=1)
+        ok = np.isfinite(rnorm_sel[np.arange(pairs), best_start])
+        sols = X.reshape(pairs, _N_STARTS, 4)[np.arange(pairs), best_start]
+        feasible[lo:hi] = ok.reshape(hi - lo, n)
+        chosen[lo:hi] = np.where(ok[:, None], sols, np.nan).reshape(hi - lo, n, 4)
+    lead = targets.shape[:-1]
+    return feasible.reshape(lead + (n,)), chosen.reshape(lead + (n, 4))
 
 
 def solve_moments(
@@ -546,11 +620,15 @@ def fit_mixture(
     Deterministic for a fixed seed and grids: the simulation substream of a
     grid point depends only on (seed, its lexical index).
 
-    Each (m, nu0) cell solves all its variance pairs in one active-set Newton
-    batch (`_solve_moment_batch`) and scores its feasible points in blocks of
-    `_SCORE_CHUNK`: one simulation block and one binning pass per block, so
-    peak memory does not grow with the grid. Scores are bit-identical to
-    scoring each point alone with `simulate_z` and `total_variation`.
+    The factor estimate and pooled moments of every (m, nu0) cell come
+    first; then one active-set Newton solve (`_solve_moment_batch`) covers
+    every variance pair of every cell, each cell's result bit-identical to
+    solving that cell alone. The cells are then scored in lexical order, their
+    feasible points in blocks of `_SCORE_CHUNK`: one simulation block and one
+    binning pass per block. The solve works on at most `_SOLVE_ROWS` Newton
+    rows at a time, so peak memory does not grow with the grid. Scores are
+    bit-identical to scoring each point alone with `simulate_z` and
+    `total_variation`.
     """
     z = np.asarray(z, dtype=float)
     p = z.size
@@ -570,11 +648,12 @@ def fit_mixture(
     eta_bar = float(np.mean(dep.eta_sq))
     eta4_bar = float(np.mean(dep.eta_sq**2))
 
-    trace: list[dict] = []
-    best_tv = np.inf
-    best: tuple[MixtureParams, float, np.ndarray] | None = None
-    no_solution = (np.zeros(n_tau, dtype=bool), np.full((n_tau, 4), np.nan))
-
+    # Factor estimate and pooled moments of every (m, nu0) cell, in lexical
+    # order; a cell whose LAD failed has no moments and no feasible point.
+    n_nu0 = len(grids.nu0_grid)
+    v_hats = []
+    targets = np.full((len(grids.m_grid) * n_nu0, 4), np.nan)
+    solvable = np.zeros(len(targets), dtype=bool)
     for mi, m_pct in enumerate(grids.m_grid):
         cut = min(max(int(p * m_pct / 100.0), 1), p)
         threshold = abs_sorted[cut - 1]
@@ -590,6 +669,7 @@ def fit_mixture(
         else:
             v_hat = np.zeros(0)
             cv = np.zeros(p)
+        v_hats.append(v_hat)
         if lad_failed is not None:
             warnings.warn(
                 f"subset for m={m_pct}% cannot support the factor regression "
@@ -597,35 +677,42 @@ def fit_mixture(
                 RuntimeWarning,
                 stacklevel=2,
             )
-
+            continue
         for ni, nu0 in enumerate(grids.nu0_grid):
-            if lad_failed is None:
-                mom = pooled_moments(z - cv - nu0, dep.eta_sq)
-                targets = np.asarray([mom.m1, mom.m2, mom.m3, mom.m4])
-                feasible, sols = _solve_moment_batch(
-                    targets, tau1_arr, tau2_arr, eta_bar, eta4_bar
-                )
-            else:
-                feasible, sols = no_solution
-            # one candidate per variance pair, MixtureParams' fields in order
-            rows = np.column_stack([_clip_weights(sols[:, :2]), np.full(n_tau, nu0),
-                                    nu0 + sols[:, 2:], tau1_arr, tau2_arr])
-            cell_base = (mi * len(grids.nu0_grid) + ni) * n_tau
-            order = np.nonzero(feasible)[0].tolist()
-            scores = {}
-            for start in range(0, len(order), _SCORE_CHUNK):
-                chunk = order[start : start + _SCORE_CHUNK]
-                scores.update(zip(chunk, _score_points(
-                    z, dep, rows[chunk],
-                    [substream(seed, "fit_tv", cell_base + ti) for ti in chunk],
-                ).tolist()))
-            for ti, (t1, t2) in enumerate(tau_pairs):
-                tv = scores.get(ti)
-                trace.append({"m": m_pct, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2,
-                              "feasible": tv is not None, "tv": tv})
-                if tv is not None and tv < best_tv:
-                    best_tv = tv
-                    best = (MixtureParams(*rows[ti].tolist()), float(m_pct), v_hat.copy())
+            mom = pooled_moments(z - cv - nu0, dep.eta_sq)
+            targets[mi * n_nu0 + ni] = (mom.m1, mom.m2, mom.m3, mom.m4)
+            solvable[mi * n_nu0 + ni] = True
+
+    feasible = np.zeros((len(targets), n_tau), dtype=bool)
+    sols = np.full((len(targets), n_tau, 4), np.nan)
+    feasible[solvable], sols[solvable] = _solve_moment_batch(
+        targets[solvable], tau1_arr, tau2_arr, eta_bar, eta4_bar
+    )
+
+    trace: list[dict] = []
+    best_tv = np.inf
+    best: tuple[MixtureParams, float, np.ndarray] | None = None
+    for ci, (m_pct, nu0) in enumerate(itertools.product(grids.m_grid, grids.nu0_grid)):
+        # one candidate per variance pair, MixtureParams' fields in order
+        rows = np.column_stack([_clip_weights(sols[ci, :, :2]), np.full(n_tau, nu0),
+                                nu0 + sols[ci, :, 2:], tau1_arr, tau2_arr])
+        cell_base = ci * n_tau
+        order = np.nonzero(feasible[ci])[0].tolist()
+        scores = {}
+        for start in range(0, len(order), _SCORE_CHUNK):
+            chunk = order[start : start + _SCORE_CHUNK]
+            scores.update(zip(chunk, _score_points(
+                z, dep, rows[chunk],
+                [substream(seed, "fit_tv", cell_base + ti) for ti in chunk],
+            ).tolist()))
+        for ti, (t1, t2) in enumerate(tau_pairs):
+            tv = scores.get(ti)
+            trace.append({"m": m_pct, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2,
+                          "feasible": tv is not None, "tv": tv})
+            if tv is not None and tv < best_tv:
+                best_tv = tv
+                best = (MixtureParams(*rows[ti].tolist()), float(m_pct),
+                        v_hats[ci // n_nu0].copy())
 
     if best is None:
         raise FitFailedError(

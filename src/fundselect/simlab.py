@@ -288,6 +288,11 @@ def _run_one_rep(args) -> dict:
     return out
 
 
+# What one replication may raise and still count as one failed replication:
+# the package's own errors, and a singular or ill-posed numerical step.
+_REP_FAILURES = (FundselectError, np.linalg.LinAlgError, ValueError)
+
+
 def run_sim_study(
     setting: SimSetting,
     *,
@@ -298,8 +303,9 @@ def run_sim_study(
     """Run the replications and aggregate per-method metrics.
 
     Replication r is fully determined by (setting.seed, r); the factor series
-    is drawn once per study. Failed replications are dropped with a warning as
-    long as they stay under 10% of the total.
+    is drawn once per study. A replication that raises a FundselectError,
+    LinAlgError or ValueError fails; failed replications are dropped with a
+    warning as long as they stay under 10% of the total.
     """
     factors = synthetic_factors(setting.n_months, substream(setting.seed, "factors"))
     jobs = [(setting, r, grids, n_samples, factors) for r in range(setting.reps)]
@@ -310,7 +316,7 @@ def run_sim_study(
         for r, job in enumerate(jobs):
             try:
                 results[r] = _run_one_rep(job)
-            except FundselectError as exc:
+            except _REP_FAILURES as exc:
                 failures.append((r, str(exc)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -318,7 +324,7 @@ def run_sim_study(
             for fut, r in futures.items():
                 try:
                     results[r] = fut.result()
-                except FundselectError as exc:
+                except _REP_FAILURES as exc:
                     failures.append((r, str(exc)))
 
     if failures:

@@ -299,7 +299,9 @@ def test_malformed_dvalue_file_exits_3(tmp_path, capsys):
     "body,expect",
     [pytest.param("F1,0.5\n\nF2,abc\n", ":5: non-numeric d_value", id="after-blank-line"),
      pytest.param('"F1\nClass A",0.5\nF2,0.2\n', ":3: a quoted field spans lines",
-                  id="id-spans-lines")],
+                  id="id-spans-lines"),
+     pytest.param("F1,0.1\n\nF1,0.2\nF2,0.9\n", ":5: duplicate fund_id 'F1'",
+                  id="duplicate-id")],
 )
 def test_dvalue_file_errors_name_the_physical_line(tmp_path, body, expect):
     """Line numbers count every line of the file: the manifest line, the
@@ -320,7 +322,7 @@ _FUND_IDS = st.text(
 @settings(max_examples=80, deadline=None)
 @given(rows=st.lists(
     st.tuples(_FUND_IDS, st.floats(0.0, 1.0), st.floats(allow_nan=False, allow_infinity=False)),
-    min_size=1, max_size=8,
+    min_size=1, max_size=8, unique_by=lambda row: row[0],
 ))
 @example(rows=[('F1, "Class A"', 0.25, -1.5), ('"q"', 1.0, 0.0), ("", 0.0, 2.0)])
 def test_dvalue_csv_round_trips_quoted_fund_ids(tmp_path_factory, rows):

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from fundselect.dependence import build_dependence, dependence_from_correlation
 from fundselect.errors import ConfigError, DataError, FitFailedError
+from fundselect import mixture
 from fundselect.mixture import (
     _SCORE_CHUNK,
     _TV_DRAWS,
@@ -17,7 +18,9 @@ from fundselect.mixture import (
     MixtureParams,
     PooledMoments,
     _jacobian,
+    _newton_cells,
     _newton_starts,
+    _newton_steps,
     _residuals,
     _simulate_rows,
     _solve_moment_batch,
@@ -687,6 +690,92 @@ def test_active_set_newton_matches_full_batch():
         assert np.array_equal(sols, ref_sols, equal_nan=True)
         n_feasible += int(feasible.sum())
     assert n_feasible > 0
+
+
+_STACK_ETA = (0.5, 0.3)  # (eta_bar, eta4_bar) shared by the stacked cells
+
+
+def _stacked_cells():
+    """Moment targets of four cells that share (eta_bar, eta4_bar), and the
+    variance pairs they solve: a separated mixture, the pure spike, a target
+    with no feasible row, and a wide mixture some of whose rows stop because
+    no step length lowers their residual."""
+    eta, eta4 = _STACK_ETA
+    targets = np.stack([
+        forward_moments(0.6, 0.25, -0.6, 1.2, 0.1, 0.15, eta, eta4),
+        [0.0, 0.5, 0.0, 0.9],
+        [0.0, 0.3, 0.0, 0.5],
+        forward_moments(0.5, 0.3, -3.0, 4.0, 0.1, 0.15, eta, eta4),
+    ])
+    taus = np.asarray(GridConfig().tau_grid[::3])
+    return targets, np.repeat(taus, taus.size), np.tile(taus, taus.size)
+
+
+def _stalled_rows(targets, tau1, tau2):
+    """Number of rows of the cell's solve that end unconverged at a point
+    where none of the 30 step lengths lowers the residual."""
+    eta, eta4 = _STACK_ETA
+    X, rnorm = _newton_cells(targets[None], tau1, tau2, eta, eta4)
+    t1, t2 = np.repeat(tau1, 8), np.repeat(tau2, 8)
+    live = rnorm >= 1e-12
+    step, _ = _newton_steps(X[live], _residuals(X[live], t1[live], t2[live], targets, eta, eta4),
+                            t1[live], t2[live], eta, eta4, np.zeros(int(live.sum()), dtype=int))
+    step = np.where(np.isfinite(step), step, 0.0)
+    stalled = np.ones(len(step), dtype=bool)
+    for j in range(30):
+        Xc = X[live] - 0.5**j * step
+        rc = np.max(np.abs(_residuals(Xc, t1[live], t2[live], targets, eta, eta4)), axis=1)
+        stalled &= ~(rc < rnorm[live])
+    return int(stalled.sum())
+
+
+@pytest.mark.parametrize("solve_rows", [None, 1300, 1], ids=["one-block", "two-cells", "per-cell"])
+def test_stacked_newton_matches_each_cell_alone(monkeypatch, solve_rows):
+    """One stacked solve over four cells equals, cell by cell and bit for
+    bit, the full-batch iteration of each cell alone, however many cells a
+    block of `_SOLVE_ROWS` holds."""
+    if solve_rows is not None:
+        monkeypatch.setattr(mixture, "_SOLVE_ROWS", solve_rows)
+    targets, tau1, tau2 = _stacked_cells()
+    feasible, sols = _solve_moment_batch(targets, tau1, tau2, *_STACK_ETA)
+    assert feasible.shape == (4, tau1.size) and sols.shape == (4, tau1.size, 4)
+    for cell, t in enumerate(targets):
+        ref_feasible, ref_sols = _ref_solve_moment_batch(t, tau1, tau2, *_STACK_ETA)
+        np.testing.assert_array_equal(feasible[cell], ref_feasible)
+        assert np.array_equal(sols[cell], ref_sols, equal_nan=True)
+
+    # every step length 1, 1/2, ..., 2**-29 is tried, in order
+    assert np.concatenate(mixture._STEP_LENGTHS).tolist() == [0.5**j for j in range(30)]
+    # the cells cover what their docstring says
+    counts = feasible.sum(axis=1).tolist()
+    assert counts[0] > 0 and counts[1] == tau1.size and counts[2] == 0 and counts[3] > 0
+    assert _stalled_rows(targets[0], tau1, tau2) == 0
+    assert _stalled_rows(targets[3], tau1, tau2) > 0
+
+
+def test_singular_system_stops_only_its_own_cell(monkeypatch):
+    """A solver that refuses every batch holding a system with an entry above
+    1e12 (as LAPACK refuses an exactly singular one) stops the wide cell,
+    which alone reaches such entries; the stacked solve then equals each
+    cell solved alone under the same solver, and the other cells are
+    untouched."""
+    targets, tau1, tau2 = _stacked_cells()
+    clean = [_ref_solve_moment_batch(t, tau1, tau2, *_STACK_ETA) for t in targets]
+    real_solve = np.linalg.solve
+
+    def refusing_solve(a, b):
+        if np.abs(a).max() > 1e12:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", refusing_solve)
+    feasible, sols = _solve_moment_batch(targets, tau1, tau2, *_STACK_ETA)
+    for cell, t in enumerate(targets):
+        ref_feasible, ref_sols = _ref_solve_moment_batch(t, tau1, tau2, *_STACK_ETA)
+        np.testing.assert_array_equal(feasible[cell], ref_feasible)
+        assert np.array_equal(sols[cell], ref_sols, equal_nan=True)
+        stopped = not np.array_equal(ref_sols, clean[cell][1], equal_nan=True)
+        assert stopped == (cell == 3)
 
 
 def test_batched_simulation_matches_four_draw_reference():

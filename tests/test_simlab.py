@@ -1,5 +1,7 @@
 """Tests for the synthetic-panel generators and the replication study harness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,33 @@ def test_study_fails_loudly_when_too_many_reps_fail(monkeypatch):
     setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=0.1, reps=5, seed=2)
     with pytest.raises(DataError, match="replications failed"):
         run_sim_study(setting)
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"),
+                                   ValueError("array must not contain infs or NaNs")],
+                         ids=["linalg", "value"])
+def test_study_counts_a_crashed_fit_as_a_failed_replication(monkeypatch, error):
+    """A numerical crash in one replication's fit drops that replication with
+    the usual warning; in two of two replications it is the usual DataError."""
+    calls = []
+
+    def crash_in_rep_3(z, dep, grids=None, seed=0):
+        calls.append(seed)
+        if len(calls) == 4:
+            raise error
+        return true_mixture("s1"), None
+
+    monkeypatch.setattr(simlab, "fit_mixture", crash_in_rep_3)
+    setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=0.1, reps=11, seed=2)
+    with pytest.warns(RuntimeWarning, match=r"dropped 1 failed replication\(s\): 3$"):
+        out = run_sim_study(setting, n_samples=100)
+    assert len(out["dvalue"].fdp) == 10
+
+    def always_crash(z, dep, grids=None, seed=0):
+        raise error
+
+    monkeypatch.setattr(simlab, "fit_mixture", always_crash)
+    setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=0.1, reps=2, seed=2)
+    with pytest.raises(DataError, match="2/2 replications failed; first failure "
+                                        + re.escape(f"(rep 0): {error}")):
+        run_sim_study(setting, n_samples=100)
