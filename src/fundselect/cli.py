@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every run hashes its mathematical configuration (everything except --out,
---config, and --workers) into a manifest written alongside the outputs once
-the command succeeds; each output file names that manifest on its first line,
-and rerunning with the same manifest reproduces the bytes below that line
-exactly. A command rejected before it writes any output leaves no file.
+--config, and --workers) into a manifest written alongside the outputs; each
+output file names that manifest on its first line, and rerunning with the
+same manifest reproduces the bytes below that line exactly. Outputs are
+written only once the command has succeeded, the manifest last, so a command
+that fails leaves no file.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -16,6 +17,7 @@ import configparser
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -95,7 +97,11 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="INI config file (section per subcommand; flags override)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--workers", type=int, default=0, help="0 = all available cores")
+    sp.add_argument(
+        "--workers", type=int, default=0,
+        help="worker processes for simulate's replications (0 = all available cores); "
+             "every other command runs in one process",
+    )
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -236,32 +242,31 @@ class _RunContext:
                 "scipy": scipy.__version__,
             },
         }
-
-    def _open(self, name: str):
-        """Open `name` for writing under --out, creating --out on first use,
-        so a command that fails before it writes leaves no directory behind."""
-        os.makedirs(self.out_dir, exist_ok=True)
-        return open(os.path.join(self.out_dir, name), "w", newline="\n")
-
-    def write_manifest(self) -> None:
-        with self._open(self.manifest_name) as fh:
-            json.dump(self.manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        self.outputs: dict[str, str] = {}  # file name -> rendered text
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
-        """Write `rows` (sequences of fields) under `header` with CSV quoting,
+        """Render `rows` (sequences of fields) under `header` with CSV quoting,
         so a fund id holding a comma or a quote reads back intact."""
-        with self._open(name) as fh:
-            fh.write(f"# manifest: {self.manifest_name}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        buf = io.StringIO()
+        buf.write(f"# manifest: {self.manifest_name}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        self.outputs[name] = buf.getvalue()
 
     def write_json(self, name: str, obj) -> None:
-        with self._open(name) as fh:
-            fh.write(f"# manifest: {self.manifest_name}\n")
-            json.dump(_jsonable(obj), fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
+        text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+        self.outputs[name] = f"# manifest: {self.manifest_name}\n{text}\n"
+
+    def save(self) -> None:
+        """Write the rendered outputs under --out, creating it, and then the
+        manifest. Handlers only render, so a command that fails writes
+        nothing, not even --out."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        manifest = json.dumps(self.manifest, sort_keys=True, indent=2)
+        for name, text in [*self.outputs.items(), (self.manifest_name, f"{manifest}\n")]:
+            with open(os.path.join(self.out_dir, name), "w", newline="\n") as fh:
+                fh.write(text)
 
 
 def _fmt(x) -> str:
@@ -582,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
             args = _apply_config_file(argv, args, parser, by_name)
         ctx = _RunContext(args)
         _HANDLERS[args.command](args, ctx)
-        ctx.write_manifest()
+        ctx.save()
     except ConfigError as exc:
         print(f"[config-error] {exc}", file=sys.stderr)
         return 2

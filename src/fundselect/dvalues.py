@@ -17,7 +17,13 @@ mode contributes one multivariate-t component (5 degrees of freedom, 1.2x the
 inverse-Hessian scale) weighted by its Laplace evidence. With no factors
 (rank 0) the posterior needs no sampling and every draw carries equal weight.
 
-All density work happens in the log domain.
+All density work happens in the log domain. For each block of draws the
+factor contribution B W is one matrix product; the elementwise chain that
+follows (component log densities, half masses, posterior ratios) then runs on
+tiles of `_TILE_ROWS` funds, so its temporaries stay in cache. Every element
+goes through the same operations as on the whole block, and the sums over
+funds and draws still run on full (p, draws) arrays, so the results do not
+depend on the tile height, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .dependence import DependenceModel
 from .errors import DataError, NumericalError
@@ -37,6 +42,7 @@ from .streams import substream
 ESS_WARN_THRESHOLD = 50.0
 _LOG_2PI = math.log(2.0 * math.pi)
 _BLOCK_SIZE = 256  # factor draws per block, in the sampler and the mode screen
+_TILE_ROWS = 32  # funds per tile of a block's elementwise work (32 x 256 doubles: 64 KiB)
 
 # posterior-mode search and proposal shape
 _SCREEN_DRAWS = 2000  # prior draws screened for Newton starting points
@@ -70,10 +76,14 @@ def _log_half_masses(dev, mu0, tau_sq, noise_var):
     variance sig_sq and mean beta. Added to the log joint density of x and the
     component, these give the log masses of its nonpositive and nonnegative
     halves."""
+    # imported here: loading scipy.special costs ~0.3 s, which commands that
+    # compute no d-value should not pay
+    from scipy.special import log_ndtr
+
     sig_sq = noise_var * tau_sq / (tau_sq + noise_var)
     beta = sig_sq * (dev / noise_var + mu0 / tau_sq)
-    sig = np.sqrt(sig_sq)
-    return log_ndtr(-beta / sig), log_ndtr(beta / sig)
+    q = beta / np.sqrt(sig_sq)
+    return log_ndtr(-q), log_ndtr(q)
 
 
 def _log_component_masses(mu0, tau_sq, lambda_p, shift, z):
@@ -98,6 +108,19 @@ def component_mass_nonnegative(mu0, tau_sq, lambda_p, shift, z) -> float:
 def _logsumexp3(a, b, c):
     """Elementwise logsumexp of three arrays, -inf safe."""
     m = np.maximum(np.maximum(a, b), c)
+    if m.ndim and np.isfinite(m).all():
+        # the guards below change nothing here: sum the same exps in the
+        # same order, in place (0-d inputs take the general path, since
+        # ufuncs refuse a numpy scalar as `out`)
+        out = np.subtract(a, m)
+        np.exp(out, out=out)
+        tmp = np.subtract(b, m)
+        out += np.exp(tmp, out=tmp)
+        np.subtract(c, m, out=tmp)
+        out += np.exp(tmp, out=tmp)
+        np.log(out, out=out)
+        out += m
+        return out
     safe_m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         out = safe_m + np.log(
@@ -119,6 +142,43 @@ def _component_logs(dev, comps):
             lw + (-0.5 * (_LOG_2PI + math.log(var)) - (dev - mean) ** 2 / (2.0 * var))
             for lw, mean, var in comps
         ]
+
+
+def _tiled_log_density(dev, comps):
+    """log f(dev) for the spike-and-slab mixture, one tile of funds at a time."""
+    logf = np.empty_like(dev)
+    for start in range(0, dev.shape[0], _TILE_ROWS):
+        rows = slice(start, start + _TILE_ROWS)
+        logf[rows] = _logsumexp3(*_component_logs(dev[rows], comps))
+    return logf
+
+
+def _tile_ratios(dev, comps, params, lam, spike_in_los, logf, ratio_d, ratio_los):
+    """The sampler's elementwise chain on one tile of funds (rows of dev).
+
+    Fills `logf` with log f(dev), and `ratio_d` / `ratio_los` with
+    P(mu <= 0 | dev) / P(mu >= 0 | dev), set to 0 where f(dev) = 0.
+    """
+    c0, c1, c2 = _component_logs(dev, comps)
+    logf[...] = _logsumexp3(c0, c1, c2)
+
+    neg1, pos1 = _log_half_masses(dev, params.nu1, params.tau1_sq, lam)
+    neg2, pos2 = _log_half_masses(dev, params.nu2, params.tau2_sq, lam)
+    neg1 += c1
+    neg2 += c2
+    pos1 += c1
+    pos2 += c2
+    log_num_d = _logsumexp3(c0, neg1, neg2)
+    c0_los = c0 if spike_in_los else np.full_like(c0, -np.inf)
+    log_num_los = _logsumexp3(c0_los, pos1, pos2)
+
+    with np.errstate(invalid="ignore"):
+        np.exp(np.subtract(log_num_d, logf, out=ratio_d), out=ratio_d)
+        np.exp(np.subtract(log_num_los, logf, out=ratio_los), out=ratio_los)
+    dead = ~np.isfinite(logf)
+    if np.any(dead):
+        ratio_d[dead] = 0.0
+        ratio_los[dead] = 0.0
 
 
 def _log_posterior(w, z, B, comps):
@@ -192,7 +252,7 @@ def _posterior_modes(z, B, comps, seed):
     rng = substream(seed, "dvalues", "modes")
     screen = rng.standard_normal((rank, _SCREEN_DRAWS))
     logpost = np.concatenate([
-        _logsumexp3(*_component_logs(z[:, None] - B @ blk, comps)).sum(axis=0)
+        _tiled_log_density(z[:, None] - B @ blk, comps).sum(axis=0)
         - 0.5 * np.sum(blk * blk, axis=0)
         for blk in np.split(screen, range(_BLOCK_SIZE, _SCREEN_DRAWS, _BLOCK_SIZE), axis=1)
     ])
@@ -307,6 +367,7 @@ def compute_dvalues(
     s2 = 0.0
     sd = np.zeros(p)
     sl = np.zeros(p)
+    logf = ratio_d = ratio_los = None  # (p, nb) per block, refilled tile by tile
 
     n_blocks = (n_samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     drawn = 0
@@ -319,31 +380,21 @@ def compute_dvalues(
         else:
             W, log_ratio = np.zeros((0, nb)), np.zeros(nb)
         dev = z[:, None] - (B @ W)  # p x nb : z minus factor contribution
+        if logf is None or logf.shape[1] != nb:
+            logf, ratio_d, ratio_los = (np.empty((p, nb)) for _ in range(3))
+        for start in range(0, p, _TILE_ROWS):
+            rows = slice(start, start + _TILE_ROWS)
+            _tile_ratios(dev[rows], comps, params, lam, spike_in_los,
+                         logf[rows], ratio_d[rows], ratio_los[rows])
 
-        c0, c1, c2 = _component_logs(dev, comps)
-        logf = _logsumexp3(c0, c1, c2)
-
-        neg1, pos1 = _log_half_masses(dev, params.nu1, params.tau1_sq, lam)
-        neg2, pos2 = _log_half_masses(dev, params.nu2, params.tau2_sq, lam)
-
-        log_num_d = _logsumexp3(c0, c1 + neg1, c2 + neg2)
-        c0_los = c0 if spike_in_los else np.full_like(c0, -np.inf)
-        log_num_los = _logsumexp3(c0_los, c1 + pos1, c2 + pos2)
-
-        with np.errstate(invalid="ignore"):
-            ratio_d = np.exp(log_num_d - logf)
-            ratio_los = np.exp(log_num_los - logf)
-        dead = ~np.isfinite(logf)
-        if np.any(dead):
-            ratio_d = np.where(dead, 0.0, ratio_d)
-            ratio_los = np.where(dead, 0.0, ratio_los)
-        if not (np.all(ratio_d >= 0.0) and np.all(ratio_d <= 1.0 + 1e-9)):
+        lo, hi = float(np.min(ratio_d)), float(np.max(ratio_d))
+        if not (lo >= 0.0 and hi <= 1.0 + 1e-9):
             raise NumericalError(
                 "posterior probability of mu <= 0 left [0, 1]: it spans "
-                f"[{float(np.min(ratio_d))!r}, {float(np.max(ratio_d))!r}]"
+                f"[{lo!r}, {hi!r}]"
             )
-        ratio_d = np.minimum(ratio_d, 1.0)
-        ratio_los = np.minimum(ratio_los, 1.0)
+        np.minimum(ratio_d, 1.0, out=ratio_d)
+        np.minimum(ratio_los, 1.0, out=ratio_los)
 
         logw = logf.sum(axis=0) + log_ratio  # nb
         block_max = float(np.max(logw))

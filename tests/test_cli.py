@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fundselect
 from conftest import write_panel_csvs
-from fundselect.cli import _read_dvalue_csv, main
+from fundselect.cli import _read_dvalue_csv, build_parser, main
 from fundselect.errors import DataError, FitFailedError
 from fundselect.selection import select_fdr_stepup
 from fundselect.simlab import planted_panel
@@ -401,3 +405,43 @@ def test_numerical_failure_exits_4(panel_files, tmp_path, capsys, monkeypatch):
     )
     assert code == 4
     assert "[numerical-error]" in capsys.readouterr().err
+
+
+def test_failure_after_the_first_output_leaves_no_files(panel_files, tmp_path, monkeypatch, capsys):
+    """A handler that fails after rendering some of its outputs writes none of
+    them: dvalues fails on its last file, after cleaning.json and dvalues.csv."""
+    from fundselect.cli import _RunContext
+
+    render_json = _RunContext.write_json
+
+    def fail_on_meta(self, name, obj):
+        if name == "dvalues_meta.json":
+            raise DataError("injected failure")
+        render_json(self, name, obj)
+
+    monkeypatch.setattr(_RunContext, "write_json", fail_on_meta)
+    out = tmp_path / "dv"
+    code = main(
+        ["dvalues", "--returns", panel_files["returns"], "--factors", panel_files["factors"],
+         "--window", WINDOW, *GRID_FLAGS, "--mc-samples", "200", "--out", str(out)]
+    )
+    assert code == 3
+    assert "[data-error] injected failure" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_cli_import_does_not_load_scipy_special():
+    """fit, select and rank-compare never need scipy.special; the d-value
+    commands load it at their first d-value."""
+    src = str(Path(fundselect.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, fundselect.cli; assert 'scipy.special' not in sys.modules, 'loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_workers_help_names_the_one_command_that_uses_it():
+    parser, by_name = build_parser()
+    for name, sub in by_name.items():
+        (action,) = [a for a in sub._actions if a.dest == "workers"]
+        assert "simulate" in action.help and "one process" in action.help, name

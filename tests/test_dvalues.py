@@ -413,6 +413,87 @@ def test_dvalues_deterministic_for_fixed_seed():
     assert not np.array_equal(a.d, c.d)
 
 
+def _three_factor_dep(p: int) -> DependenceModel:
+    B = 0.3 * np.random.default_rng(17).standard_normal((p, 3))
+    return DependenceModel(eigenvalues=np.ones(p), l=3, C=B, B=B, lambda_p=0.6,
+                           eta_sq=np.full(p, 0.6))
+
+
+def _tile_case(name):
+    """(z, dep, params, n_samples) for one bit-identity case of the tiles."""
+    rng = np.random.default_rng(31)
+    if name == "rank0-spike-at-zero":
+        return rng.normal(size=129), dependence_from_correlation(np.eye(129)), BASE_SPIKE_AT_ZERO, 300
+    if name == "rank1":
+        return rng.normal(0.3, 1.2, size=137), dependence_from_correlation(_corr(137, 0.3)), BASE, 777
+    if name == "rank3-spike-at-zero":
+        return rng.normal(size=257), _three_factor_dep(257), BASE_SPIKE_AT_ZERO, 300
+    # a few funds in the far tails, where half masses and ratios reach 0 and 1
+    z = rng.normal(size=137)
+    z[::17] = np.array([38.0, -38.0, 30.0, -30.0, 25.0, -25.0, 37.0, -37.0, 20.0])
+    return z, _three_factor_dep(137), BASE, 300
+
+
+@pytest.mark.parametrize(
+    "case", ["rank0-spike-at-zero", "rank1", "rank3-spike-at-zero", "far-tails"]
+)
+def test_dvalues_do_not_depend_on_the_tile_height(case, monkeypatch):
+    """One tile of all p funds is the untiled computation; a ragged last tile
+    (7 rows) and the default height must reproduce it bit for bit, in the
+    d-values, the los, the ESS, and the Newton starts the mode screen picks
+    with the modes they reach."""
+    from fundselect import dvalues
+
+    z, dep, params, n_samples = _tile_case(case)
+    ascend = dvalues._newton_ascent
+    runs = []
+    for rows in (z.size, 7, 32):
+        ascents = []
+
+        def spy(w0, *args):
+            ascents.append((w0, ascend(w0, *args)))
+            return ascents[-1][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(dvalues, "_TILE_ROWS", rows)
+            m.setattr(dvalues, "_newton_ascent", spy)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                report = compute_dvalues(z, dep, params, n_samples=n_samples, seed=5)
+        runs.append((report, ascents))
+    (ref, ref_ascents), others = runs[0], runs[1:]
+    assert len(ref_ascents) == (1 + dvalues._SCREEN_STARTS if dep.rank else 0)
+    for report, ascents in others:
+        np.testing.assert_array_equal(report.d, ref.d)
+        np.testing.assert_array_equal(report.los, ref.los)
+        assert report.ess == ref.ess
+        assert len(ascents) == len(ref_ascents)
+        for (w0, (w, value, factor)), (w0_ref, (w_ref, value_ref, factor_ref)) in zip(
+            ascents, ref_ascents
+        ):
+            np.testing.assert_array_equal(w0, w0_ref)
+            np.testing.assert_array_equal(w, w_ref)
+            assert value == value_ref
+            np.testing.assert_array_equal(factor, factor_ref)
+
+
+def test_dead_funds_fail_alike_for_every_tile_height(monkeypatch):
+    """Funds of zero density under every draw are masked tile by tile; every
+    weight then vanishes, with the same report whatever the tile height."""
+    from fundselect import dvalues
+
+    dep = dependence_from_correlation(_corr(20, 0.5))
+    z = np.random.default_rng(2).normal(size=20)
+    z[[3, 11]] = 1e200
+    messages = set()
+    for rows in (20, 7, 32):
+        monkeypatch.setattr(dvalues, "_TILE_ROWS", rows)
+        with pytest.raises(NumericalError, match="weights vanished") as err:
+            compute_dvalues(z, dep, BASE, n_samples=300, seed=0)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
 def test_dvalues_error_shrinks_at_root_n_rate():
     """Across replicate seeds, doubling n_samples shrinks the spread ~1/sqrt(2)."""
     dep = dependence_from_correlation(_corr(30, 0.3))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from fundselect.errors import DataError
@@ -228,6 +229,12 @@ def _bh_oracle(pvals: np.ndarray, level: float) -> np.ndarray:
 def test_one_sided_pvalues():
     z = np.array([-1.0, 0.0, 2.0])
     np.testing.assert_allclose(one_sided_pvalues(z), 1.0 - norm.cdf(z), atol=1e-15)
+    # relative accuracy into the far upper tail, where p reaches ~6e-300
+    z = np.concatenate([np.linspace(-37.0, 37.0, 20000), [-1e-300, 1e-300, 0.7071, -0.7071]])
+    np.testing.assert_allclose(one_sided_pvalues(z), ndtr(-z), rtol=1e-13, atol=0.0)
+    ends = one_sided_pvalues(np.array([0.0, np.inf, -np.inf]))
+    assert ends.tolist() == [0.5, 0.0, 1.0]
+    assert one_sided_pvalues(z.reshape(4, -1)).shape == (4, 5001)
 
 
 def test_bh_worked_example():
