@@ -48,7 +48,7 @@ from .selection import (
     select_unskilled,
     storey_select,
 )
-from .simlab import SimSetting, run_sim_study
+from .simlab import SimSetting, run_sim_study, usable_cores
 
 _UNHASHED = {"command", "config", "out", "workers"}
 
@@ -285,7 +285,7 @@ def _grids(args) -> GridConfig | None:
 def _workers(args) -> int:
     if args.workers and args.workers > 0:
         return args.workers
-    return os.cpu_count() or 1
+    return usable_cores()
 
 
 def _require_flags(args, *dests: str) -> None:

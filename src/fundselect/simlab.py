@@ -6,10 +6,22 @@ dependence model, mixture fit, posterior probabilities, selection), and scores
 realized false-discovery / false-negative proportions against the truth,
 alongside the BH and adaptive-BH baselines. Replications run in parallel with
 per-replication substreams, so results do not depend on the worker count.
+
+Worker threads: the pool starts at most one process per replication, up to
+the requested workers, and each process caps the OpenBLAS that NumPy has
+loaded at ``max(1, usable cores // processes)`` threads. Without the cap every
+process starts one BLAS thread per core, and on a box with as many processes
+as cores the threads spin against each other: the panel draw and the
+dependence model of a replication then take tens of times longer than with
+one thread each. Usable cores are the cores this process may run on
+(`usable_cores`). The study's results are the same bits with one worker
+process or several, whatever their thread counts.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -288,6 +300,52 @@ def _run_one_rep(args) -> dict:
     return out
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else every core of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Thread-count entry points of the OpenBLAS builds NumPy ships with; the
+# builds with 64-bit integers add a suffix, NumPy's wheels also a prefix.
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads")
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(set_num_threads, get_num_threads) of each OpenBLAS library this
+    process has already loaded, found by name in /proc/self/maps; empty
+    where there is none or the platform has no such file."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, symbol.format("set")):
+                setter = getattr(lib, symbol.format("set"))
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter = getattr(lib, symbol.format("get"))
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+def _limit_blas_threads(threads: int) -> None:
+    """Pool initializer: run every loaded OpenBLAS on `threads` threads."""
+    for set_num_threads, _ in _openblas_thread_controls():
+        set_num_threads(threads)
+
+
 # What one replication may raise and still count as one failed replication:
 # the package's own errors, and a singular or ill-posed numerical step.
 _REP_FAILURES = (FundselectError, np.linalg.LinAlgError, ValueError)
@@ -303,23 +361,28 @@ def run_sim_study(
     """Run the replications and aggregate per-method metrics.
 
     Replication r is fully determined by (setting.seed, r); the factor series
-    is drawn once per study. A replication that raises a FundselectError,
-    LinAlgError or ValueError fails; failed replications are dropped with a
-    warning as long as they stay under 10% of the total.
+    is drawn once per study. At most min(workers, setting.reps) processes
+    run the replications, each with its share of the usable cores as BLAS
+    threads (see the module docstring). A replication that raises a
+    FundselectError, LinAlgError or ValueError fails; failed replications
+    are dropped with a warning as long as they stay under 10% of the total.
     """
     factors = synthetic_factors(setting.n_months, substream(setting.seed, "factors"))
     jobs = [(setting, r, grids, n_samples, factors) for r in range(setting.reps)]
 
     results: list[dict | None] = [None] * setting.reps
     failures: list[tuple[int, str]] = []
-    if workers <= 1:
+    processes = min(workers, setting.reps)
+    if processes <= 1:
         for r, job in enumerate(jobs):
             try:
                 results[r] = _run_one_rep(job)
             except _REP_FAILURES as exc:
                 failures.append((r, str(exc)))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        threads = max(1, usable_cores() // processes)
+        with ProcessPoolExecutor(max_workers=processes, initializer=_limit_blas_threads,
+                                 initargs=(threads,)) as pool:
             futures = {pool.submit(_run_one_rep, job): r for r, job in enumerate(jobs)}
             for fut, r in futures.items():
                 try:

@@ -406,11 +406,16 @@ def test_fit_input_validation(coarse_grids, identity_dep):
 # The fit solves the moment systems of a cell with an active-set Newton
 # iteration and scores blocks of grid points in one simulation and binning
 # pass. The references below do the same arithmetic the plain way -- every
-# row on every Newton iteration, one simulate_z draw and two np.histogram
-# calls per score -- and the batched results must equal them bit for bit.
+# row that has not stalled on every Newton iteration, one simulate_z draw and
+# two np.histogram calls per score -- and the batched results must equal
+# them bit for bit.
 
 
-def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar):
+def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar, stall=True):
+    """Every row on every iteration. With stall=True a row whose residual
+    is still >= 1e-8 and has fallen by less than 1e-3 of itself over the last
+    10 iterations is frozen: it takes no more steps and its system is not
+    factored again."""
     n = tau1_arr.shape[0]
     n_start = 8
     starts = _newton_starts(targets)
@@ -421,6 +426,8 @@ def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar):
 
     R = _residuals(X, t1, t2, tgt, eta_bar, eta4_bar)
     rnorm = np.max(np.abs(R), axis=1)
+    history = [rnorm]
+    frozen = np.zeros(n * n_start, dtype=bool)
     for _ in range(60):
         if np.all(rnorm < 1e-12):
             break
@@ -429,14 +436,15 @@ def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar):
         ridge = 1e-12 * (1.0 + np.trace(G, axis1=1, axis2=2))
         G[:, np.arange(4), np.arange(4)] += ridge[:, None]
         g = np.einsum("nij,ni->nj", J, R)
+        step = np.zeros_like(g)
         try:
-            step = np.linalg.solve(G, g[..., None])[..., 0]
+            step[~frozen] = np.linalg.solve(G[~frozen], g[~frozen][..., None])[..., 0]
         except np.linalg.LinAlgError:
             break
         step = np.where(np.isfinite(step), step, 0.0)
 
         alpha = np.ones(n * n_start)
-        accepted = rnorm < 1e-12
+        accepted = (rnorm < 1e-12) | frozen
         X_next = X.copy()
         R_next = R.copy()
         rn_next = rnorm.copy()
@@ -457,6 +465,10 @@ def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar):
             accepted[good] = True
             alpha[idx[~ok]] *= 0.5
         X, R, rnorm = X_next, R_next, rn_next
+        history.append(rnorm)
+        if stall and len(history) > 10:
+            before = history[-11]
+            frozen |= (rnorm >= 1e-8) & (before - rnorm < 1e-3 * before)
 
     pi1, pi2 = X[:, 0], X[:, 1]
     pi0 = 1.0 - pi1 - pi2
@@ -692,6 +704,44 @@ def test_active_set_newton_matches_full_batch():
     assert n_feasible > 0
 
 
+def _panel_targets(kind):
+    """Moment targets (targets, eta_bar, eta4_bar) of two (m, nu0) cells of
+    a simulated p=200 panel under the dependence design kind, as the fit
+    builds them."""
+    setting = SimSetting(p=200, sparsity="s1", dependence=kind, theta=0.1, reps=1, seed=3)
+    panel, factors, _ = generate_panel(setting, substream(3, "rep", 0))
+    estimates = carhart_fit(panel, factors)
+    dep = build_dependence(estimates, panel)
+    z = estimates.z
+    out = []
+    for m_pct, nu0 in ((20.0, -0.2), (40.0, 0.0)):
+        subset = np.abs(z) <= np.sort(np.abs(z))[int(z.size * m_pct / 100.0) - 1]
+        cv = dep.C @ lad_regress(z[subset], dep.C[subset])
+        mom = pooled_moments(z - cv - nu0, dep.eta_sq)
+        out.append((np.array([mom.m1, mom.m2, mom.m3, mom.m4]),
+                    mom.eta_sq_bar, mom.eta_4_bar))
+    return out
+
+
+def test_stall_rule_keeps_feasibility_and_moves_roots_only_in_last_bits():
+    """Stopping the rows that creep changes no feasibility and moves no
+    chosen root by more than 1e-9, on the moment targets above and on cells
+    of d1, d2 and d3 panels; on some of them it does move a root."""
+    taus = np.asarray(GridConfig().tau_grid[::3])
+    tau1 = np.repeat(taus, taus.size)
+    tau2 = np.tile(taus, taus.size)
+    cases = _moment_targets() + [c for kind in ("d1", "d2", "d3") for c in _panel_targets(kind)]
+    moved = 0
+    for targets, eta, eta4 in cases:
+        feasible, sols = _ref_solve_moment_batch(targets, tau1, tau2, eta, eta4)
+        full_feasible, full_sols = _ref_solve_moment_batch(
+            targets, tau1, tau2, eta, eta4, stall=False)
+        np.testing.assert_array_equal(feasible, full_feasible)
+        np.testing.assert_allclose(sols[feasible], full_sols[feasible], rtol=0, atol=1e-9)
+        moved += not np.array_equal(sols, full_sols, equal_nan=True)
+    assert moved > 0
+
+
 _STACK_ETA = (0.5, 0.3)  # (eta_bar, eta4_bar) shared by the stacked cells
 
 
@@ -817,14 +867,19 @@ def test_batched_tv_matches_histogram_on_edge_cases():
         np.full(8, -2.05),                                  # narrow range
     ]
     b = np.stack(rows)
-    got = _tv_rows(a, b)
+    got = _tv_rows(np.sort(a), b)
     want = [_ref_total_variation(a, row) for row in rows]
     assert got.tolist() == want
-    assert len(set(_tv_rows(a, b).tolist())) > 1
+    assert len(set(got.tolist())) > 1
+    # data on interior edges, twice on the last one and so at the pooled
+    # maximum, which the closed last bin holds
+    data = np.concatenate([edges[[0, 3, 3, 7, 12]], [edges[18], edges[18]]])
+    got = _tv_rows(np.sort(data), b)
+    assert got.tolist() == [_ref_total_variation(data, row) for row in rows]
 
     # constant samples: one bin
     const = np.full(5, 0.7)
-    assert _tv_rows(const, np.stack([const, const + 0.0])).tolist() == [0.0, 0.0]
+    assert _tv_rows(np.sort(const), np.stack([const, const + 0.0])).tolist() == [0.0, 0.0]
     assert total_variation(const, const) == _ref_total_variation(const, const) == 0.0
 
     # samples of different sizes, rows of different widths, one batch
@@ -832,7 +887,7 @@ def test_batched_tv_matches_histogram_on_edge_cases():
     a = rng.standard_normal(37)
     b = np.stack([rng.standard_normal(23) * s + c
                   for s, c in ((0.2, 0.0), (1.0, 0.3), (3.0, -1.0), (0.01, 5.0))])
-    assert _tv_rows(a, b).tolist() == [_ref_total_variation(a, row) for row in b]
+    assert _tv_rows(np.sort(a), b).tolist() == [_ref_total_variation(a, row) for row in b]
     for row in b:
         assert total_variation(a, row) == _ref_total_variation(a, row)
         assert total_variation(row, a) == _ref_total_variation(row, a)

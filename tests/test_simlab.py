@@ -1,10 +1,14 @@
 """Tests for the synthetic-panel generators and the replication study harness."""
 
+import argparse
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import fundselect.cli as cli
 import fundselect.simlab as simlab
 from fundselect.errors import ConfigError, DataError, FundselectError
 from fundselect.mixture import GridConfig
@@ -184,9 +188,11 @@ def test_degenerate_level_selects_nothing():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_study_is_deterministic_and_worker_independent():
-    """Same seed -> bitwise-equal metrics, even across process-pool workers."""
-    setting = SimSetting(p=120, sparsity="s1", dependence="d1", theta=0.1, reps=2, seed=31)
+@pytest.mark.parametrize("dependence", ["d1", "d2"])
+def test_study_is_deterministic_and_worker_independent(dependence):
+    """Same seed -> bitwise-equal metrics, even across process-pool workers
+    that run BLAS on fewer threads than this process."""
+    setting = SimSetting(p=120, sparsity="s1", dependence=dependence, theta=0.1, reps=2, seed=31)
     kwargs = dict(grids=STUDY_GRIDS, n_samples=500)
     first = run_sim_study(setting, **kwargs)
     second = run_sim_study(setting, **kwargs)
@@ -212,6 +218,61 @@ def test_study_is_deterministic_and_worker_independent():
 def _canned_rep(rep: int) -> dict:
     per = {"fdp": 0.25, "fnp": 0.1, "selected": 4}
     return {"rep": rep, "dvalue": dict(per), "bh": dict(per), "storey": dict(per)}
+
+
+def _rep_reporting_blas_threads(args):
+    """A canned replication whose selection count is the smallest thread
+    count of the OpenBLAS libraries loaded in the process that ran it."""
+    out = _canned_rep(args[1])
+    out["dvalue"]["selected"] = min(get() for _, get in simlab._openblas_thread_controls())
+    return out
+
+
+@pytest.mark.parametrize("workers, reps, processes, threads",
+                         [(2, 2, 2, 3), (8, 2, 2, 3), (3, 6, 3, 2), (8, 1, None, None)])
+def test_pool_workers_share_the_usable_cores_as_blas_threads(
+    monkeypatch, workers, reps, processes, threads
+):
+    """The pool starts min(workers, reps) processes, each of which runs
+    OpenBLAS on usable cores // processes threads; one replication runs in
+    this process, whose BLAS is left alone."""
+    controls = simlab._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for _, get in controls]
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(simlab, "usable_cores", lambda: 6)
+    monkeypatch.setattr(simlab, "_run_one_rep", _rep_reporting_blas_threads)
+    monkeypatch.setattr(simlab, "ProcessPoolExecutor", RecordingPool)
+    setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=0.1, reps=reps, seed=2)
+    out = run_sim_study(setting, workers=workers)
+    assert sizes == ([] if processes is None else [processes])
+    assert out["dvalue"].selected == [threads or min(before)] * reps
+    assert [get() for _, get in controls] == before
+
+
+def test_blas_limit_does_nothing_without_openblas(monkeypatch):
+    controls = simlab._openblas_thread_controls()
+    before = [get() for _, get in controls]
+    monkeypatch.setattr(simlab, "_openblas_thread_controls", lambda: [])
+    simlab._limit_blas_threads(max(before, default=1) + 1)
+    assert [get() for _, get in controls] == before
+
+
+def test_usable_cores_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert simlab.usable_cores() == 3
+    assert cli._workers(argparse.Namespace(workers=0)) == 3
+    assert cli._workers(argparse.Namespace(workers=5)) == 5
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert simlab.usable_cores() == 64
 
 
 def test_study_drops_scarce_failures_with_a_warning(monkeypatch):
