@@ -71,6 +71,28 @@ def _window_arg(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: `kind` of the text, refused as a usage error unless
+    `ok` holds for it. INI values pass through the same type."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            valid = ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_fdr_level = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
+_mc_samples = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_workers_arg = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -98,7 +120,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_workers_arg, default=0,
         help="worker processes for simulate's replications (0 = all available cores); "
              "every other command runs in one process",
     )
@@ -118,7 +140,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp = subs.add_parser("dvalues", help="fit, then compute posterior d-values")
     _add_io(sp)
     _add_grids(sp)
-    sp.add_argument("--mc-samples", type=int, default=2000)
+    sp.add_argument("--mc-samples", type=_mc_samples, default=2000)
     _add_common(sp)
     by_name["dvalues"] = sp
 
@@ -126,9 +148,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_io(sp)
     _add_grids(sp)
     sp.add_argument("--dvalues", help="precomputed d-value CSV instead of a panel")
-    sp.add_argument("--theta", type=float, default=0.1, help="FDR target level")
-    sp.add_argument("--lambda", dest="lam", type=float, help="loss tradeoff for the exact rule")
-    sp.add_argument("--mc-samples", type=int, default=2000)
+    sp.add_argument("--theta", type=_fdr_level, default=0.1, help="FDR target level")
+    sp.add_argument("--lambda", dest="lam", type=_positive,
+                    help="loss tradeoff for the exact rule")
+    sp.add_argument("--mc-samples", type=_mc_samples, default=2000)
     _add_common(sp)
     by_name["select"] = sp
 
@@ -139,7 +162,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp.add_argument("--theta", type=float, default=0.1)
     sp.add_argument("--reps", type=int, default=50)
     sp.add_argument("--months", type=int, default=120)
-    sp.add_argument("--mc-samples", type=int, default=2000)
+    sp.add_argument("--mc-samples", type=_mc_samples, default=2000)
     _add_grids(sp)
     _add_common(sp)
     by_name["simulate"] = sp
@@ -154,7 +177,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp.add_argument("--initial-value", type=float, default=1.0)
     sp.add_argument("--fallback", choices=["hold-cash", "hold-index"], default="hold-cash")
     sp.add_argument("--benchmark", help="benchmark return CSV (date,ret)")
-    sp.add_argument("--mc-samples", type=int, default=2000)
+    sp.add_argument("--mc-samples", type=_mc_samples, default=2000)
     _add_common(sp)
     by_name["backtest"] = sp
 
@@ -162,8 +185,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_io(sp)
     _add_grids(sp)
     sp.add_argument("--dvalues", help="precomputed d-value CSV instead of a panel")
-    sp.add_argument("--top-n", type=int, default=50)
-    sp.add_argument("--mc-samples", type=int, default=2000)
+    sp.add_argument("--top-n", type=_count, default=50)
+    sp.add_argument("--mc-samples", type=_mc_samples, default=2000)
     _add_common(sp)
     by_name["rank-compare"] = sp
 
@@ -283,13 +306,11 @@ def _grids(args) -> GridConfig | None:
 
 
 def _workers(args) -> int:
-    if args.workers and args.workers > 0:
-        return args.workers
-    return usable_cores()
+    return args.workers or usable_cores()
 
 
 def _require_flags(args, *dests: str) -> None:
-    missing = [f"--{dest}" for dest in dests if getattr(args, dest) is None]
+    missing = [f"--{dest.replace('_', '-')}" for dest in dests if getattr(args, dest) is None]
     if missing:
         raise ConfigError(f"missing required flag(s): {', '.join(missing)}")
 
@@ -519,9 +540,7 @@ def _cmd_simulate(args, ctx: _RunContext) -> None:
 
 
 def _cmd_backtest(args, ctx: _RunContext) -> None:
-    if args.start_year is None or args.end_year is None:
-        raise ConfigError("backtest needs --start-year and --end-year")
-    _require_flags(args, "returns", "factors")
+    _require_flags(args, "returns", "factors", "start_year", "end_year")
     config = BacktestConfig(
         start_year=args.start_year,
         end_year=args.end_year,

@@ -4,42 +4,32 @@ The marginal model for each standardized alpha is
 
     mu_i ~ pi0 * delta(nu0) + pi1 * N(nu1, tau1_sq) + pi2 * N(nu2, tau2_sq)
 
-with nu0 <= 0 (the spike holds the zero/weak-skill mass). Fitting walks a grid:
-for each candidate percentage m of small-|z| funds, the realized common factors
-are estimated by least absolute deviations of that subset on the factor
-loadings; for each candidate nu0 the de-factored, de-centered statistics yield
-four pooled moments; for each (tau1_sq, tau2_sq) pair the moment system is
-inverted for the weights and component offsets; surviving candidates are
-scored by the histogram total-variation distance between the data and fresh
-simulations from the candidate model, and the smallest score wins (lexical
-grid order breaks ties).
+with nu0 <= 0 (the spike holds the zero/weak-skill mass). `fit_mixture`
+searches the grid (m, nu0, tau1_sq, tau2_sq) in three stages:
 
-The search does this arithmetic in large NumPy batches. One damped Newton
-iteration solves every variance pair of every (m, nu0) cell from eight starts
-at once, each row against its own cell's moments, and works on each
-iteration only on the rows still moving: converged rows and rows whose step
-no halving could improve are fixed points and drop out, rows that creep --
-residual still >= 1e-8 and down by less than 0.1% over ten iterations --
-stop as well, and a singular system stops only its own cell. Each cell's
-roots are bit-identical to solving that cell alone. The stall rule is not
-exact: a creeping row can converge later, so a chosen root can differ in
-its last bits (by at most 2.2e-10 over 18 simulated p=500 panels) from the
-one that running every row for all 60 iterations finds; feasibility was the
-same on every one of them. The feasible points are then scored in blocks of
-`_SCORE_CHUNK`: each point still draws from its own substream into
-preallocated arrays, the block's simulated statistic vectors are built as one
-2-d array, every simulated row is binned against its own histogram edges in
-one pass, and the data, sorted once, is binned against every row's edges by
-bisection. Every score equals, bit for bit, the score of the same point
-computed alone with `simulate_z` and `total_variation`, which share the
-batched helpers; a fixed seed and grids give the same fit.
+1. Candidates (`_grid_candidates`). For each percentage m of small-|z|
+   funds the realized common factors are estimated by least absolute
+   deviations of that subset on the factor loadings; for each (m, nu0) cell
+   the de-factored, de-centered statistics give four pooled moments; one
+   stacked damped-Newton solve (`_solve_moment_batch`) inverts every cell's
+   moment system at every variance pair. The result is one flat table of
+   candidate priors in lexical grid order, with a mask of the feasible ones.
+2. Scores (`_score_candidates`). Each feasible candidate is scored by the
+   mean histogram total-variation distance between the data and `_TV_DRAWS`
+   simulations from the candidate model, drawn from the candidate's own
+   substream of the seed; candidates are simulated and binned in blocks of
+   `_SCORE_CHUNK`, and each score equals, bit for bit, the score of the same
+   candidate computed alone with `simulate_z` and `total_variation`.
+3. Choice. The smallest score wins; ties go to the earlier grid point.
+
+A fixed seed and grids give the same fit.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -90,16 +80,7 @@ class MixtureParams:
             raise ValueError("component variances must be positive")
 
     def as_dict(self) -> dict:
-        return {
-            "pi0": self.pi0,
-            "pi1": self.pi1,
-            "pi2": self.pi2,
-            "nu0": self.nu0,
-            "nu1": self.nu1,
-            "nu2": self.nu2,
-            "tau1_sq": self.tau1_sq,
-            "tau2_sq": self.tau2_sq,
-        }
+        return asdict(self)
 
     def draw_means(self, rng: np.random.Generator, p: int) -> np.ndarray:
         """p independent draws of the standardized alpha from this prior.
@@ -635,6 +616,80 @@ def _score_points(z_sorted: np.ndarray, dep: DependenceModel, rows: np.ndarray, 
     return score / _TV_DRAWS
 
 
+def _grid_candidates(
+    z: np.ndarray, dep: DependenceModel, grids: GridConfig
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The candidate prior of every grid point, in lexical grid order.
+
+    Returns the factor estimate v_hat of each m, the candidates as rows
+    (cells x variance pairs, 8) in MixtureParams' field order, and the flat
+    mask of the rows whose moment system has a valid root; other rows hold
+    NaN. An m whose subset cannot support the factor regression warns and
+    has no feasible row.
+    """
+    p = z.size
+    taus = np.asarray(grids.tau_grid)
+    tau1_arr, tau2_arr = np.repeat(taus, taus.size), np.tile(taus, taus.size)
+    abs_sorted = np.sort(np.abs(z))
+    n_nu0 = len(grids.nu0_grid)
+    n_cells = len(grids.m_grid) * n_nu0
+
+    v_hats = []
+    targets = np.full((n_cells, 4), np.nan)
+    solvable = np.zeros(n_cells, dtype=bool)
+    for mi, m_pct in enumerate(grids.m_grid):
+        cut = min(max(int(p * m_pct / 100.0), 1), p)
+        subset = np.abs(z) <= abs_sorted[cut - 1]
+        v_hat, cv = np.zeros(dep.l), np.zeros(p)
+        if dep.l > 0:
+            try:
+                v_hat = lad_regress(z[subset], dep.C[subset])
+            except DataError as exc:
+                warnings.warn(
+                    f"subset for m={m_pct}% cannot support the factor regression "
+                    f"({exc}); marking its grid points infeasible",
+                    RuntimeWarning,
+                    stacklevel=3,  # the caller of fit_mixture
+                )
+                v_hats.append(v_hat)
+                continue
+            cv = dep.C @ v_hat
+        v_hats.append(v_hat)
+        for ni, nu0 in enumerate(grids.nu0_grid):
+            mom = pooled_moments(z - cv - nu0, dep.eta_sq)
+            targets[mi * n_nu0 + ni] = (mom.m1, mom.m2, mom.m3, mom.m4)
+            solvable[mi * n_nu0 + ni] = True
+
+    feasible = np.zeros((n_cells, tau1_arr.size), dtype=bool)
+    sols = np.full((n_cells, tau1_arr.size, 4), np.nan)
+    feasible[solvable], sols[solvable] = _solve_moment_batch(
+        targets[solvable], tau1_arr, tau2_arr,
+        float(np.mean(dep.eta_sq)), float(np.mean(dep.eta_sq**2)),
+    )
+    sols = sols.reshape(-1, 4)
+    nu0 = np.repeat(np.tile(np.asarray(grids.nu0_grid, dtype=float), len(grids.m_grid)),
+                    tau1_arr.size)
+    rows = np.column_stack([_clip_weights(sols[:, :2]), nu0, nu0[:, None] + sols[:, 2:],
+                            np.tile(tau1_arr, n_cells), np.tile(tau2_arr, n_cells)])
+    return v_hats, rows, feasible.ravel()
+
+
+def _score_candidates(
+    z: np.ndarray, dep: DependenceModel, rows: np.ndarray, feasible: np.ndarray, seed
+) -> np.ndarray:
+    """The score of each candidate row, NaN where it is infeasible. Row i
+    draws from substream (seed, "fit_tv", i); the feasible rows are scored
+    in blocks of `_SCORE_CHUNK`, which may span cells."""
+    z_sorted = np.sort(z)
+    scores = np.full(len(rows), np.nan)
+    order = np.flatnonzero(feasible)
+    for start in range(0, order.size, _SCORE_CHUNK):
+        chunk = order[start : start + _SCORE_CHUNK]
+        rngs = [substream(seed, "fit_tv", i) for i in chunk.tolist()]
+        scores[chunk] = _score_points(z_sorted, dep, rows[chunk], rngs)
+    return scores
+
+
 def fit_mixture(
     z: np.ndarray,
     dep: DependenceModel,
@@ -643,112 +698,36 @@ def fit_mixture(
 ) -> tuple[MixtureParams, FitDiagnostics]:
     """Grid-search fit of the mixture prior to the statistic vector.
 
-    Every grid point is visited in lexical order (m, nu0, tau1_sq, tau2_sq) and
-    recorded in the trace; infeasible moment systems are skipped, feasible ones
-    are scored by the average total-variation distance over `_TV_DRAWS` fresh
-    simulations, and the minimizer wins with ties going to the earlier point.
-    Deterministic for a fixed seed and grids: the simulation substream of a
-    grid point depends only on (seed, its lexical index).
-
-    The factor estimate and pooled moments of every (m, nu0) cell come
-    first; then one active-set Newton solve (`_solve_moment_batch`) covers
-    every variance pair of every cell, each cell's result bit-identical to
-    solving that cell alone; rows that creep stop early. The cells are then
-    scored in lexical order, their feasible points in blocks of
-    `_SCORE_CHUNK`: one simulation block and one binning pass per block. The solve works on at most `_SOLVE_ROWS` Newton
-    rows at a time, so peak memory does not grow with the grid. Scores are
-    bit-identical to scoring each point alone with `simulate_z` and
-    `total_variation`.
+    Builds every grid point's candidate (`_grid_candidates`), scores the
+    feasible ones (`_score_candidates`) and keeps the smallest score, ties
+    going to the earlier point in lexical order (m, nu0, tau1_sq, tau2_sq).
+    The trace records every grid point in that order. Deterministic for a
+    fixed seed and grids: a point's simulations depend only on (seed, its
+    lexical index). Raises FitFailedError, with the trace, when no point is
+    feasible.
     """
     z = np.asarray(z, dtype=float)
-    p = z.size
-    if p < 50:
-        raise DataError(f"mixture fit needs at least 50 funds, got {p}")
-    if dep.p != p:
+    if z.size < 50:
+        raise DataError(f"mixture fit needs at least 50 funds, got {z.size}")
+    if dep.p != z.size:
         raise DataError("dependence model and statistic vector disagree on p")
     if grids is None:
         grids = GridConfig()
 
-    tau_pairs = [(t1, t2) for t1 in grids.tau_grid for t2 in grids.tau_grid]
-    tau1_arr = np.asarray([t[0] for t in tau_pairs])
-    tau2_arr = np.asarray([t[1] for t in tau_pairs])
-    n_tau = len(tau_pairs)
-
-    abs_sorted = np.sort(np.abs(z))
-    z_sorted = np.sort(z)
-    eta_bar = float(np.mean(dep.eta_sq))
-    eta4_bar = float(np.mean(dep.eta_sq**2))
-
-    # Factor estimate and pooled moments of every (m, nu0) cell, in lexical
-    # order; a cell whose LAD failed has no moments and no feasible point.
-    n_nu0 = len(grids.nu0_grid)
-    v_hats = []
-    targets = np.full((len(grids.m_grid) * n_nu0, 4), np.nan)
-    solvable = np.zeros(len(targets), dtype=bool)
-    for mi, m_pct in enumerate(grids.m_grid):
-        cut = min(max(int(p * m_pct / 100.0), 1), p)
-        threshold = abs_sorted[cut - 1]
-        subset = np.abs(z) <= threshold
-        lad_failed = None
-        if dep.l > 0:
-            try:
-                v_hat = lad_regress(z[subset], dep.C[subset])
-            except DataError as exc:
-                lad_failed = str(exc)
-                v_hat = np.zeros(dep.l)
-            cv = dep.C @ v_hat
-        else:
-            v_hat = np.zeros(0)
-            cv = np.zeros(p)
-        v_hats.append(v_hat)
-        if lad_failed is not None:
-            warnings.warn(
-                f"subset for m={m_pct}% cannot support the factor regression "
-                f"({lad_failed}); marking its grid points infeasible",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        for ni, nu0 in enumerate(grids.nu0_grid):
-            mom = pooled_moments(z - cv - nu0, dep.eta_sq)
-            targets[mi * n_nu0 + ni] = (mom.m1, mom.m2, mom.m3, mom.m4)
-            solvable[mi * n_nu0 + ni] = True
-
-    feasible = np.zeros((len(targets), n_tau), dtype=bool)
-    sols = np.full((len(targets), n_tau, 4), np.nan)
-    feasible[solvable], sols[solvable] = _solve_moment_batch(
-        targets[solvable], tau1_arr, tau2_arr, eta_bar, eta4_bar
-    )
-
-    trace: list[dict] = []
-    best_tv = np.inf
-    best: tuple[MixtureParams, float, np.ndarray] | None = None
-    for ci, (m_pct, nu0) in enumerate(itertools.product(grids.m_grid, grids.nu0_grid)):
-        # one candidate per variance pair, MixtureParams' fields in order
-        rows = np.column_stack([_clip_weights(sols[ci, :, :2]), np.full(n_tau, nu0),
-                                nu0 + sols[ci, :, 2:], tau1_arr, tau2_arr])
-        cell_base = ci * n_tau
-        order = np.nonzero(feasible[ci])[0].tolist()
-        scores = {}
-        for start in range(0, len(order), _SCORE_CHUNK):
-            chunk = order[start : start + _SCORE_CHUNK]
-            scores.update(zip(chunk, _score_points(
-                z_sorted, dep, rows[chunk],
-                [substream(seed, "fit_tv", cell_base + ti) for ti in chunk],
-            ).tolist()))
-        for ti, (t1, t2) in enumerate(tau_pairs):
-            tv = scores.get(ti)
-            trace.append({"m": m_pct, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2,
-                          "feasible": tv is not None, "tv": tv})
-            if tv is not None and tv < best_tv:
-                best_tv = tv
-                best = (MixtureParams(*rows[ti].tolist()), float(m_pct),
-                        v_hats[ci // n_nu0].copy())
-
-    if best is None:
+    v_hats, rows, feasible = _grid_candidates(z, dep, grids)
+    scores = _score_candidates(z, dep, rows, feasible, seed)
+    points = itertools.product(grids.m_grid, grids.nu0_grid, grids.tau_grid, grids.tau_grid)
+    trace = [
+        {"m": m, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2, "feasible": ok,
+         "tv": tv if ok else None}
+        for (m, nu0, t1, t2), ok, tv in zip(points, feasible.tolist(), scores.tolist())
+    ]
+    if not feasible.any():
         raise FitFailedError(
             f"no feasible grid point among {len(trace)} candidates", trace=trace
         )
-    params, m_pct, v_hat = best
-    diagnostics = FitDiagnostics(m_pct=m_pct, v_hat=v_hat, tv=best_tv, grid_trace=trace)
-    return params, diagnostics
+    best = int(np.argmin(np.where(feasible, scores, np.inf)))
+    mi = best // (len(grids.nu0_grid) * len(grids.tau_grid) ** 2)
+    diagnostics = FitDiagnostics(m_pct=float(grids.m_grid[mi]), v_hat=v_hats[mi],
+                                 tv=trace[best]["tv"], grid_trace=trace)
+    return MixtureParams(*rows[best].tolist()), diagnostics

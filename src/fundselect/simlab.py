@@ -119,28 +119,28 @@ def _cov_to_corr(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def epsilon_correlation(
-    kind: str, p: int, rng: np.random.Generator, a_matrix: np.ndarray | None = None
-) -> np.ndarray:
+# Each dependence design: its loading draw (from the generator, for p funds)
+# and its base matrix.
+_DESIGNS = {
+    "d1": (lambda rng, p: rng.normal(0.0, 2.0, size=(p, 4)), np.eye),
+    "d2": (lambda rng, p: rng.normal(0.0, 2.0, size=(p, 10)),
+           lambda p: 0.8 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))),
+    "d3": (lambda rng, p: rng.uniform(-1.0, 1.0, size=(p, 10)), fgn_covariance),
+}
+
+
+def epsilon_correlation(kind: str, p: int, rng: np.random.Generator) -> np.ndarray:
     """Residual correlation matrix for one of the three dependence designs.
 
     d1: four N(0, 4) loading columns against an identity base.
     d2: ten N(0, 4) loading columns against a 0.8^|i-j| base.
     d3: ten Uniform(-1, 1) loading columns against a long-memory base.
-    Tests may pass `a_matrix` to pin the loadings.
     """
-    if kind == "d1":
-        a = rng.normal(0.0, 2.0, size=(p, 4)) if a_matrix is None else a_matrix
-        base = np.eye(p)
-    elif kind == "d2":
-        a = rng.normal(0.0, 2.0, size=(p, 10)) if a_matrix is None else a_matrix
-        base = 0.8 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    elif kind == "d3":
-        a = rng.uniform(-1.0, 1.0, size=(p, 10)) if a_matrix is None else a_matrix
-        base = fgn_covariance(p)
-    else:
+    if kind not in _DESIGNS:
         raise ConfigError(f"unknown dependence kind {kind!r}")
-    return _cov_to_corr(a @ a.T + base)
+    loadings, base = _DESIGNS[kind]
+    a = loadings(rng, p)
+    return _cov_to_corr(a @ a.T + base(p))
 
 
 def synthetic_factors(n_months: int, rng: np.random.Generator) -> FactorSeries:

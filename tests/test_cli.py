@@ -270,6 +270,45 @@ def test_missing_required_flags_exit_2(capsys):
     assert "missing required flag" in capsys.readouterr().err
 
 
+def test_backtest_names_its_missing_flags_by_their_spelling(panel_files, capsys):
+    code = main(["backtest", "--returns", panel_files["returns"],
+                 "--factors", panel_files["factors"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[config-error] missing required flag(s): --start-year, --end-year\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["select", "--theta", "1.5"], "--theta"),
+        (["select", "--theta", "0"], "--theta"),
+        (["select", "--theta", "nan"], "--theta"),
+        (["select", "--lambda", "-1"], "--lambda"),
+        (["simulate", "--p", "60", "--reps", "1", *GRID_FLAGS, "--mc-samples", "1"],
+         "--mc-samples"),
+        (["dvalues", "--mc-samples", "two"], "--mc-samples"),
+        (["rank-compare", "--top-n", "0"], "--top-n"),
+        (["select", "--workers", "-3"], "--workers"),
+        (["select", "--config", "{ini}"], "--theta"),
+    ],
+    ids=["theta-above-1", "theta-0", "theta-nan", "lambda-negative", "mc-samples-1",
+         "mc-samples-text", "top-n-0", "workers-negative", "theta-from-ini"],
+)
+def test_bad_numeric_flags_are_config_errors(argv, flag, dvalue_csv, tmp_path, capsys):
+    """A numeric flag out of its range is refused while the command line is
+    parsed, before any work, whether it comes as a flag or from the INI."""
+    ini = tmp_path / "run.ini"
+    ini.write_text("[select]\ntheta = 1.5\n")
+    argv = [a.format(ini=ini) for a in argv]
+    if argv[0] in ("select", "rank-compare"):
+        argv += ["--dvalues", dvalue_csv]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"[config-error] argument {flag}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_both_sources_rejected(dvalue_csv, panel_files, capsys):
     code = main(
         ["select", "--dvalues", dvalue_csv, "--returns", panel_files["returns"]]

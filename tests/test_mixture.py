@@ -388,10 +388,12 @@ def test_fit_warns_when_subset_cannot_support_lad():
                            nu2=1.2, tau1_sq=0.1, tau2_sq=0.1)
     z = simulate_z(params, dep, 9)
     tiny = GridConfig(m_grid=(1.0,), nu0_grid=(0.0,), tau_grid=(0.1, 0.2))
-    with pytest.warns(RuntimeWarning, match="cannot support the factor regression"):
+    with pytest.warns(RuntimeWarning, match="cannot support the factor regression") as record:
         with pytest.raises(FitFailedError) as exc_info:
             fit_mixture(z, dep, tiny, seed=3)
     assert len(exc_info.value.trace) == tiny.n_points
+    # the warning points at the caller of fit_mixture
+    assert [w.filename for w in record if "factor regression" in str(w.message)] == [__file__]
 
 
 def test_fit_input_validation(coarse_grids, identity_dep):
@@ -662,6 +664,49 @@ def test_batched_fit_matches_per_point_reference(
                    for start in range(0, len(trace), n_tau)]
     assert (0 in cell_counts) == empty_cell
     assert any(c % _SCORE_CHUNK for c in cell_counts) == partial_chunk
+
+
+def test_score_blocks_may_span_cells(monkeypatch):
+    """Scoring the feasible candidates one at a time, seven at a time or all
+    at once gives the same scores, bit for bit, and the same fit."""
+    z, dep, m_grid, nu0_grid = _sim_case()
+    grids = GridConfig(m_grid=m_grid, nu0_grid=nu0_grid, tau_grid=_BIT_TAUS)
+    _, rows, feasible = mixture._grid_candidates(z, dep, grids)
+    scores = mixture._score_candidates(z, dep, rows, feasible, 5)
+    fit = _fit_outcome(fit_mixture, z, dep, grids, 5)[0]
+    # some block of seven holds rows of two cells
+    cells = np.flatnonzero(feasible) // len(_BIT_TAUS) ** 2
+    assert any(len(set(cells[i:i + 7].tolist())) > 1 for i in range(0, cells.size, 7))
+    assert np.isnan(scores).tolist() == (~feasible).tolist()
+    for chunk in (1, 7, int(feasible.sum())):
+        monkeypatch.setattr(mixture, "_SCORE_CHUNK", chunk)
+        got = mixture._score_candidates(z, dep, rows, feasible, 5)
+        assert np.array_equal(got, scores, equal_nan=True)
+        assert _fit_outcome(fit_mixture, z, dep, grids, 5)[0] == fit
+
+
+def test_tied_scores_go_to_the_first_feasible_point(monkeypatch):
+    """With every score equal, the winner is the first feasible grid point
+    in lexical order: here the first cell of the second m, since the first
+    m's subset cannot support the factor regression."""
+    monkeypatch.setattr(mixture, "_score_points",
+                        lambda z_sorted, dep, rows, rngs: np.zeros(len(rows)))
+    z, dep, m_grid, nu0_grid = _two_block_case(9)
+    grids = GridConfig(m_grid=m_grid, nu0_grid=nu0_grid, tau_grid=_BIT_TAUS)
+    with pytest.warns(RuntimeWarning, match="factor regression"):
+        v_hats, rows, feasible = mixture._grid_candidates(z, dep, grids)
+        params, diag = fit_mixture(z, dep, grids, seed=5)
+    first = int(np.argmax(feasible))
+    per_m = len(nu0_grid) * len(_BIT_TAUS) ** 2
+    assert first >= per_m  # no point of the first m is feasible
+    rec = diag.grid_trace[first]
+    assert rec["feasible"] and not any(r["feasible"] for r in diag.grid_trace[:first])
+    assert params == MixtureParams(*rows[first].tolist())
+    assert (params.nu0, params.tau1_sq, params.tau2_sq) == (rec["nu0"], rec["tau1_sq"],
+                                                            rec["tau2_sq"])
+    assert diag.m_pct == rec["m"] == m_grid[first // per_m]
+    np.testing.assert_array_equal(diag.v_hat, v_hats[first // per_m])
+    assert diag.tv == 0.0
 
 
 def _moment_targets():

@@ -62,10 +62,10 @@ def test_true_mixture_weights():
 
 
 def test_zero_loadings_give_identity_correlation():
-    sigma = epsilon_correlation(
-        "d1", 12, np.random.default_rng(0), a_matrix=np.zeros((12, 4))
-    )
-    np.testing.assert_array_equal(sigma, np.eye(12))
+    """Without loadings a design's covariance is diagonal, and a diagonal
+    covariance has the identity as its correlation."""
+    cov = np.diag(np.linspace(0.5, 9.0, 12))
+    np.testing.assert_array_equal(simlab._cov_to_corr(cov), np.eye(12))
 
 
 def test_long_memory_base_has_unit_diagonal():
