@@ -13,6 +13,7 @@ from .mixture import GridConfig, fit_mixture
 from .panel import (_parse_factors_csv, _parse_monthly_csv, _parse_returns_csv,
                     assemble_window, carhart_fit)
 from .selection import bh_select, select_fdr_stepup, storey_select
+from .simlab import map_jobs
 from .streams import substream
 
 STRATEGIES = ("dvalue", "bh", "storey")
@@ -107,11 +108,52 @@ def _month_return(
     return benchmark[month]
 
 
+def _year_holdings(job) -> dict[str, list[str]]:
+    """Fund ids per strategy for one holding year: window -> `carhart_fit` ->
+    dependence -> fit -> d-values -> selections, seeded by (seed, year) alone."""
+    by_fund, by_date, config, seed, year = job
+    window = (f"{year - config.window_years}-01", f"{year - 1}-12")
+    panel, factors, _log = assemble_window(by_fund, by_date, window)
+    estimates = carhart_fit(panel, factors)
+    dep = build_dependence(estimates, panel)
+    fit_seed = int(substream(seed, "backtest-fit", year).integers(2**63))
+    try:
+        params, _diag = fit_mixture(
+            estimates.z, dep, grids=config.grids, seed=fit_seed
+        )
+    except FitFailedError:
+        # A window where no grid point admits a valid moment solution gives
+        # no usable skill prior, so the posterior strategy has no evidence
+        # to act on: it holds nothing that year and the fallback applies.
+        # The p-value strategies need only the statistics and still run.
+        dvalue_ids: list[str] = []
+    else:
+        dv_seed = int(substream(seed, "backtest-dv", year).integers(2**63))
+        report = compute_dvalues(
+            estimates.z, dep, params, n_samples=config.n_samples, seed=dv_seed
+        )
+        res = select_fdr_stepup(report.d, config.theta)
+        dvalue_ids = [estimates.fund_ids[i] for i in np.flatnonzero(res.decisions)]
+
+    picked = {
+        "bh": bh_select(estimates.z, config.theta),
+        "storey": storey_select(estimates.z, config.theta),
+    }
+    holdings = {
+        name: [estimates.fund_ids[i] for i in np.flatnonzero(res.decisions)]
+        for name, res in picked.items()
+    }
+    holdings["dvalue"] = dvalue_ids
+    holdings["index"] = []
+    return holdings
+
+
 def run_backtest(
     returns_csv: str,
     factors_csv: str,
     config: BacktestConfig,
     seed: int = 0,
+    workers: int = 1,
 ) -> PortfolioTrack:
     """Re-select funds each January from the trailing window, hold equal-weight
     for the calendar year, and compound monthly.
@@ -120,7 +162,9 @@ def run_backtest(
     years ending in December of y-1.  Selection at level theta runs once per
     strategy (posterior step-up, BH, Storey); an `index` track, an empty
     book that always falls back to the benchmark, is added when a benchmark
-    file is configured.
+    file is configured. The years' holdings run through `simlab.map_jobs` on
+    at most `workers` processes (the first failing year raises); the
+    compounding runs here, year by year.
     """
     by_fund = _parse_returns_csv(returns_csv)
     by_date = _parse_factors_csv(factors_csv)
@@ -133,49 +177,19 @@ def run_backtest(
     values: dict[str, list[float]] = {t: [config.initial_value] for t in tracks}
     selections: dict[str, dict[int, list[str]]] = {t: {} for t in tracks}
 
+    held_months = {y: [d for d in (f"{y}-{m:02d}" for m in range(1, 13)) if d in by_date]
+                   for y in years}
     for year in years:
-        window = (f"{year - config.window_years}-01", f"{year - 1}-12")
-        panel, factors, _log = assemble_window(by_fund, by_date, window)
-        estimates = carhart_fit(panel, factors)
-        dep = build_dependence(estimates, panel)
-        fit_seed = int(substream(seed, "backtest-fit", year).integers(2**63))
-        try:
-            params, _diag = fit_mixture(
-                estimates.z, dep, grids=config.grids, seed=fit_seed
-            )
-        except FitFailedError:
-            # A window where no grid point admits a valid moment solution gives
-            # no usable skill prior, so the posterior strategy has no evidence
-            # to act on: it holds nothing that year and the fallback applies.
-            # The p-value strategies need only the statistics and still run.
-            dvalue_ids: list[str] = []
-        else:
-            dv_seed = int(substream(seed, "backtest-dv", year).integers(2**63))
-            report = compute_dvalues(
-                estimates.z, dep, params, n_samples=config.n_samples, seed=dv_seed
-            )
-            res = select_fdr_stepup(report.d, config.theta)
-            dvalue_ids = [estimates.fund_ids[i] for i in np.flatnonzero(res.decisions)]
-
-        picked = {
-            "bh": bh_select(estimates.z, config.theta),
-            "storey": storey_select(estimates.z, config.theta),
-        }
-        holdings = {
-            name: [estimates.fund_ids[i] for i in np.flatnonzero(res.decisions)]
-            for name, res in picked.items()
-        }
-        holdings["dvalue"] = dvalue_ids
-        holdings["index"] = []
-
-        months = [f"{year}-{m:02d}" for m in range(1, 13) if f"{year}-{m:02d}" in by_date]
-        if not months:
+        if not held_months[year]:
             raise DataError(f"factor series has no months in holding year {year}")
+
+    jobs = [(by_fund, by_date, config, seed, year) for year in years]
+    for year, holdings in zip(years, map_jobs(_year_holdings, jobs, workers)):
         for name in tracks:
             fallback = "hold-index" if name == "index" else config.fallback
             selections[name][year] = holdings[name]
             value = values[name][-1]
-            for month in months:
+            for month in held_months[year]:
                 value *= 1.0 + _month_return(
                     holdings[name], month, by_fund, benchmark, fallback
                 )

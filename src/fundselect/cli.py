@@ -34,6 +34,7 @@ from .dvalues import compute_dvalues, local_fdr
 from .errors import ConfigError, DataError, NumericalError
 from .mixture import GridConfig, fit_mixture
 from .panel import (
+    MIN_WINDOW_MONTHS,
     _parse_factors_csv,
     _parse_returns_csv,
     assemble_window,
@@ -48,7 +49,7 @@ from .selection import (
     select_unskilled,
     storey_select,
 )
-from .simlab import SimSetting, run_sim_study, usable_cores
+from .simlab import SimSetting, _limit_blas_threads, run_sim_study, usable_cores
 
 _UNHASHED = {"command", "config", "out", "workers"}
 
@@ -91,6 +92,7 @@ _positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
 _mc_samples = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _workers_arg = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_months = _checked(int, lambda v: v >= MIN_WINDOW_MONTHS, f"an integer >= {MIN_WINDOW_MONTHS}")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -121,8 +123,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument(
         "--workers", type=_workers_arg, default=0,
-        help="worker processes for simulate's replications (0 = all available cores); "
-             "every other command runs in one process",
+        help="worker processes for simulate's replications and backtest's holding years "
+             "(0 = all available cores); every other command runs in one process",
     )
 
 
@@ -161,7 +163,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp.add_argument("--dep", default="d1", help="dependence pattern (d1 | d2 | d3)")
     sp.add_argument("--theta", type=float, default=0.1)
     sp.add_argument("--reps", type=int, default=50)
-    sp.add_argument("--months", type=int, default=120)
+    sp.add_argument("--months", type=_months, default=120)
     sp.add_argument("--mc-samples", type=_mc_samples, default=2000)
     _add_grids(sp)
     _add_common(sp)
@@ -552,7 +554,8 @@ def _cmd_backtest(args, ctx: _RunContext) -> None:
         n_samples=args.mc_samples,
         grids=_grids(args),
     )
-    track = run_backtest(args.returns, args.factors, config, seed=args.seed)
+    track = run_backtest(args.returns, args.factors, config, seed=args.seed,
+                         workers=_workers(args))
 
     strategies = sorted(track.values)
     rows = []
@@ -598,6 +601,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # one BLAS thread per process, pool workers included (simlab docstring)
+    _limit_blas_threads(1)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, by_name = build_parser()
     try:

@@ -17,13 +17,18 @@ mode contributes one multivariate-t component (5 degrees of freedom, 1.2x the
 inverse-Hessian scale) weighted by its Laplace evidence. With no factors
 (rank 0) the posterior needs no sampling and every draw carries equal weight.
 
-All density work happens in the log domain. For each block of draws the
-factor contribution B W is one matrix product; the elementwise chain that
-follows (component log densities, half masses, posterior ratios) then runs on
-tiles of `_TILE_ROWS` funds, so its temporaries stay in cache. Every element
-goes through the same operations as on the whole block, and the sums over
-funds and draws still run on full (p, draws) arrays, so the results do not
-depend on the tile height, bit for bit.
+Densities stay in the log domain (component logs, log f, importance weights,
+mode search); posterior ratios are linear, sum_c e_c P_c(half) / sum_c e_c
+with e_c = exp(c_c - max c) from log f's own logsumexp and each slab's half
+probabilities from one normal tail. The closed-form masses stay in logs.
+
+For each block of draws the factor contribution B W is one matrix product;
+the elementwise chain that follows (component log densities, half
+probabilities, posterior ratios) then runs on tiles of `_TILE_ROWS` funds, so
+its temporaries stay in cache. Every element goes through the same
+operations as on the whole block, and the sums over funds and draws still run
+on full (p, draws) arrays, so the results do not depend on the tile height,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -70,20 +75,35 @@ def _log_norm_pdf(x, mean, var):
     return -0.5 * (_LOG_2PI + np.log(var)) - (x - mean) ** 2 / (2.0 * var)
 
 
+def _posterior_q(dev, mu0, tau_sq, noise_var):
+    """q = beta / sqrt(sig_sq), where N(beta, sig_sq) is the posterior of mu ~
+    N(mu0, tau_sq) given x = mu + N(0, noise_var) = dev: P(mu <= 0 | x) = Phi(-q)."""
+    sig_sq = noise_var * tau_sq / (tau_sq + noise_var)
+    beta = sig_sq * (dev / noise_var + mu0 / tau_sq)
+    return beta / np.sqrt(sig_sq)
+
+
 def _log_half_masses(dev, mu0, tau_sq, noise_var):
-    """log P(mu <= 0 | x = dev) and log P(mu >= 0 | x = dev) for x = mu + e,
-    mu ~ N(mu0, tau_sq), e ~ N(0, noise_var): the Gaussian posterior of mu has
-    variance sig_sq and mean beta. Added to the log joint density of x and the
-    component, these give the log masses of its nonpositive and nonnegative
-    halves."""
+    """log P(mu <= 0 | x = dev) and log P(mu >= 0 | x = dev). Added to the log
+    joint density of x and the component, these give the log masses of its
+    nonpositive and nonnegative halves."""
     # imported here: loading scipy.special costs ~0.3 s, which commands that
     # compute no d-value should not pay
     from scipy.special import log_ndtr
 
-    sig_sq = noise_var * tau_sq / (tau_sq + noise_var)
-    beta = sig_sq * (dev / noise_var + mu0 / tau_sq)
-    q = beta / np.sqrt(sig_sq)
+    q = _posterior_q(dev, mu0, tau_sq, noise_var)
     return log_ndtr(-q), log_ndtr(q)
+
+
+def _half_probabilities(dev, mu0, tau_sq, noise_var):
+    """P(mu <= 0 | x = dev) and P(mu >= 0 | x = dev): the smaller half is one
+    normal tail, ndtr(-|q|), the larger its complement."""
+    from scipy.special import ndtr
+
+    q = _posterior_q(dev, mu0, tau_sq, noise_var)
+    small = ndtr(-np.abs(q))
+    large, up = 1.0 - small, q > 0.0
+    return np.where(up, small, large), np.where(up, large, small)
 
 
 def _log_component_masses(mu0, tau_sq, lambda_p, shift, z):
@@ -156,29 +176,25 @@ def _tiled_log_density(dev, comps):
 def _tile_ratios(dev, comps, params, lam, spike_in_los, logf, ratio_d, ratio_los):
     """The sampler's elementwise chain on one tile of funds (rows of dev).
 
-    Fills `logf` with log f(dev), and `ratio_d` / `ratio_los` with
-    P(mu <= 0 | dev) / P(mu >= 0 | dev), set to 0 where f(dev) = 0.
+    Fills `logf` with log f(dev), by the steps of `_logsumexp3` (so with its
+    bits), and `ratio_d` / `ratio_los` with P(mu <= 0 | dev) /
+    P(mu >= 0 | dev), set to 0 where f(dev) = 0.
     """
     c0, c1, c2 = _component_logs(dev, comps)
-    logf[...] = _logsumexp3(c0, c1, c2)
-
-    neg1, pos1 = _log_half_masses(dev, params.nu1, params.tau1_sq, lam)
-    neg2, pos2 = _log_half_masses(dev, params.nu2, params.tau2_sq, lam)
-    neg1 += c1
-    neg2 += c2
-    pos1 += c1
-    pos2 += c2
-    log_num_d = _logsumexp3(c0, neg1, neg2)
-    c0_los = c0 if spike_in_los else np.full_like(c0, -np.inf)
-    log_num_los = _logsumexp3(c0_los, pos1, pos2)
-
-    with np.errstate(invalid="ignore"):
-        np.exp(np.subtract(log_num_d, logf, out=ratio_d), out=ratio_d)
-        np.exp(np.subtract(log_num_los, logf, out=ratio_los), out=ratio_los)
-    dead = ~np.isfinite(logf)
-    if np.any(dead):
-        ratio_d[dead] = 0.0
-        ratio_los[dead] = 0.0
+    top = np.maximum(np.maximum(c0, c1), c2)
+    dead = ~np.isfinite(top)
+    top[dead] = 0.0
+    e0, e1, e2 = (np.exp(np.subtract(c, top, out=c), out=c) for c in (c0, c1, c2))
+    total = e0 + e1
+    total += e2
+    neg1, pos1 = _half_probabilities(dev, params.nu1, params.tau1_sq, lam)
+    neg2, pos2 = _half_probabilities(dev, params.nu2, params.tau2_sq, lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.add(np.log(total, out=logf), top, out=logf)
+        np.divide(e0 + e1 * neg1 + e2 * neg2, total, out=ratio_d)
+        np.divide(spike_in_los * e0 + e1 * pos1 + e2 * pos2, total, out=ratio_los)
+    ratio_d[dead] = 0.0
+    ratio_los[dead] = 0.0
 
 
 def _log_posterior(w, z, B, comps):

@@ -7,15 +7,14 @@ realized false-discovery / false-negative proportions against the truth,
 alongside the BH and adaptive-BH baselines. Replications run in parallel with
 per-replication substreams, so results do not depend on the worker count.
 
-Worker threads: the pool starts at most one process per replication, up to
-the requested workers, and each process caps the OpenBLAS that NumPy has
-loaded at ``max(1, usable cores // processes)`` threads. Without the cap every
-process starts one BLAS thread per core, and on a box with as many processes
-as cores the threads spin against each other: the panel draw and the
-dependence model of a replication then take tens of times longer than with
-one thread each. Usable cores are the cores this process may run on
-(`usable_cores`). The study's results are the same bits with one worker
-process or several, whatever their thread counts.
+Worker threads: `map_jobs` starts at most one process per job, up to the
+requested workers, and each process runs the OpenBLAS that NumPy has loaded
+on one thread; the CLI runs its own process on one thread too. No BLAS call
+in the pipeline gets faster on two threads (the largest, the thin SVD of the
+dependence model at p=2000, T=240, takes longer), while a second thread
+spins beside every small call, and with as many processes as cores the
+threads of different processes spin against each other. The study's results
+are the same bits with one worker process or several.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from .dependence import build_dependence
 from .errors import ConfigError, DataError, FundselectError
 from .mixture import GridConfig, MixtureParams, fit_mixture
 from .dvalues import compute_dvalues
-from .panel import FACTOR_COLUMNS, FactorSeries, ReturnPanel, _factor_regression, carhart_fit
+from .panel import (FACTOR_COLUMNS, MIN_WINDOW_MONTHS, FactorSeries, ReturnPanel,
+                    _factor_regression, carhart_fit)
 from .selection import bh_select, select_fdr_stepup, storey_select
 from .streams import kahan_mean, substream
 
@@ -79,6 +79,8 @@ class SimSetting:
             raise ConfigError("theta must lie in [0, 1)")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        if self.n_months < MIN_WINDOW_MONTHS:
+            raise ConfigError(f"n_months must be >= {MIN_WINDOW_MONTHS}, got {self.n_months}")
 
 
 @dataclass(eq=False)
@@ -341,9 +343,29 @@ def _openblas_thread_controls() -> list[tuple]:
 
 
 def _limit_blas_threads(threads: int) -> None:
-    """Pool initializer: run every loaded OpenBLAS on `threads` threads."""
+    """Run every loaded OpenBLAS on `threads` threads."""
     for set_num_threads, _ in _openblas_thread_controls():
         set_num_threads(threads)
+
+
+def map_jobs(fn, jobs: list, workers: int, catch: tuple = ()) -> list:
+    """[fn(job) for job in jobs], run on min(workers, len(jobs)) processes,
+    or in this process when that is at most one; `fn` and each job must
+    pickle. An exception of a type in `catch` stands in for its job's result;
+    any other propagates, the one of the earliest job first."""
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except catch as exc:
+            return exc
+
+    processes = min(workers, len(jobs))
+    if processes <= 1:
+        return [outcome(fn, job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=processes, initializer=_limit_blas_threads,
+                             initargs=(1,)) as pool:
+        futures = [pool.submit(fn, job) for job in jobs]
+        return [outcome(fut.result) for fut in futures]
 
 
 # What one replication may raise and still count as one failed replication:
@@ -361,34 +383,17 @@ def run_sim_study(
     """Run the replications and aggregate per-method metrics.
 
     Replication r is fully determined by (setting.seed, r); the factor series
-    is drawn once per study. At most min(workers, setting.reps) processes
-    run the replications, each with its share of the usable cores as BLAS
-    threads (see the module docstring). A replication that raises a
-    FundselectError, LinAlgError or ValueError fails; failed replications
-    are dropped with a warning as long as they stay under 10% of the total.
+    is drawn once per study. The replications run through `map_jobs` on at
+    most `workers` processes (see the module docstring). A replication that
+    raises a FundselectError, LinAlgError or ValueError fails; failed
+    replications are dropped with a warning as long as they stay under 10% of
+    the total.
     """
     factors = synthetic_factors(setting.n_months, substream(setting.seed, "factors"))
     jobs = [(setting, r, grids, n_samples, factors) for r in range(setting.reps)]
-
-    results: list[dict | None] = [None] * setting.reps
-    failures: list[tuple[int, str]] = []
-    processes = min(workers, setting.reps)
-    if processes <= 1:
-        for r, job in enumerate(jobs):
-            try:
-                results[r] = _run_one_rep(job)
-            except _REP_FAILURES as exc:
-                failures.append((r, str(exc)))
-    else:
-        threads = max(1, usable_cores() // processes)
-        with ProcessPoolExecutor(max_workers=processes, initializer=_limit_blas_threads,
-                                 initargs=(threads,)) as pool:
-            futures = {pool.submit(_run_one_rep, job): r for r, job in enumerate(jobs)}
-            for fut, r in futures.items():
-                try:
-                    results[r] = fut.result()
-                except _REP_FAILURES as exc:
-                    failures.append((r, str(exc)))
+    outcomes = map_jobs(_run_one_rep, jobs, workers, catch=_REP_FAILURES)
+    results = [out for out in outcomes if not isinstance(out, Exception)]
+    failures = [(r, str(out)) for r, out in enumerate(outcomes) if isinstance(out, Exception)]
 
     if failures:
         if len(failures) >= 0.1 * setting.reps:
@@ -405,9 +410,9 @@ def run_sim_study(
 
     out: dict[str, SimMetrics] = {}
     for method in ("dvalue", "bh", "storey"):
-        fdp = [res[method]["fdp"] for res in results if res is not None]
-        fnp = [res[method]["fnp"] for res in results if res is not None]
-        sel = [res[method]["selected"] for res in results if res is not None]
+        fdp = [res[method]["fdp"] for res in results]
+        fnp = [res[method]["fnp"] for res in results]
+        sel = [res[method]["selected"] for res in results]
         out[method] = SimMetrics(
             method=method,
             mean_fdp=kahan_mean(fdp),

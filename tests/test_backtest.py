@@ -300,6 +300,28 @@ def test_backtest_missing_holding_year_months_raises(planted_run):
         )
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backtest_later_year_error_is_the_same_on_any_worker_count(planted_run, tmp_path):
+    """Every fund carries the missing-data sentinel in 2005-06, so only the
+    last of three windows (2003-2005) has no eligible fund: one process and a
+    pool of two raise that year's DataError alike."""
+    panel = planted_run["panel"]
+    returns = panel.returns.copy()
+    returns[panel.dates.index("2005-06")] = 0.0
+    returns_csv, factors_csv = write_panel_csvs(
+        tmp_path, type(panel)(dates=panel.dates, fund_ids=panel.fund_ids, returns=returns),
+        planted_run["factors"],
+    )
+    config = BacktestConfig(start_year=2004, end_year=2006, window_years=3, theta=0.15,
+                            n_samples=300, grids=planted_run["config"].grids)
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(DataError, match="no eligible funds in 2003-01..2005-12") as err:
+            run_backtest(returns_csv, factors_csv, config, seed=3, workers=workers)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
 def test_backtest_fit_failure_empties_posterior_book(planted_run, monkeypatch):
     def _always_fails(*args, **kwargs):
         raise FitFailedError("no feasible grid point")

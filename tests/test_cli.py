@@ -17,6 +17,7 @@ from conftest import write_panel_csvs
 from fundselect.cli import _read_dvalue_csv, build_parser, main
 from fundselect.errors import DataError, FitFailedError
 from fundselect.selection import select_fdr_stepup
+from fundselect import simlab
 from fundselect.simlab import planted_panel
 
 GRID_FLAGS = [
@@ -189,6 +190,23 @@ def test_backtest_smoke(panel_files, tmp_path):
     assert sel["years"] == [2005]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backtest_bytes_identical_across_worker_counts(panel_files, tmp_path):
+    """Three holding years on one process and on a pool of two: the same
+    manifest and the same bytes in every output."""
+    args = ["backtest", "--returns", panel_files["returns"], "--factors", panel_files["factors"],
+            "--start-year", "2004", "--end-year", "2006", "--window-years", "4",
+            *GRID_FLAGS, "--mc-samples", "300", "--seed", "3"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([*args, "--out", str(out1), "--workers", "1"]) == 0
+    assert main([*args, "--out", str(out2), "--workers", "2"]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir()) and len(names) == 3
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert _read_output_json(out1 / "backtest_selections.json")["years"] == [2004, 2005, 2006]
+
+
 # ---------------------------------------------------------------------------
 # reproducibility contract
 
@@ -291,9 +309,10 @@ def test_backtest_names_its_missing_flags_by_their_spelling(panel_files, capsys)
         (["rank-compare", "--top-n", "0"], "--top-n"),
         (["select", "--workers", "-3"], "--workers"),
         (["select", "--config", "{ini}"], "--theta"),
+        (["simulate", "--p", "60", "--reps", "1", "--months", "3"], "--months"),
     ],
     ids=["theta-above-1", "theta-0", "theta-nan", "lambda-negative", "mc-samples-1",
-         "mc-samples-text", "top-n-0", "workers-negative", "theta-from-ini"],
+         "mc-samples-text", "top-n-0", "workers-negative", "theta-from-ini", "months-3"],
 )
 def test_bad_numeric_flags_are_config_errors(argv, flag, dvalue_csv, tmp_path, capsys):
     """A numeric flag out of its range is refused while the command line is
@@ -479,8 +498,26 @@ def test_cli_import_does_not_load_scipy_special():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_workers_help_names_the_one_command_that_uses_it():
+def test_workers_help_names_the_commands_that_use_it():
     parser, by_name = build_parser()
     for name, sub in by_name.items():
         (action,) = [a for a in sub._actions if a.dest == "workers"]
-        assert "simulate" in action.help and "one process" in action.help, name
+        assert "simulate" in action.help and "backtest" in action.help, name
+        assert "one process" in action.help, name
+
+
+def test_cli_runs_openblas_on_one_thread(dvalue_csv, tmp_path):
+    """A CLI call leaves every loaded OpenBLAS on one thread, for itself and
+    for the pool workers it forks."""
+    controls = simlab._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for _, get in controls]
+    try:
+        for set_num_threads, _ in controls:
+            set_num_threads(2)
+        assert main(["select", "--dvalues", dvalue_csv, "--out", str(tmp_path / "o")]) == 0
+        assert [get() for _, get in simlab._openblas_thread_controls()] == [1] * len(controls)
+    finally:
+        for (set_num_threads, _), threads in zip(controls, before):
+            set_num_threads(threads)

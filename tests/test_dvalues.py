@@ -494,6 +494,65 @@ def test_dead_funds_fail_alike_for_every_tile_height(monkeypatch):
     assert len(messages) == 1
 
 
+def _log_domain_tile(dev, comps, params, lam, spike_in_los):
+    """Reference for the sampler's tile chain: every posterior mass in the log
+    domain, from the component logs and the log half masses. The masses are
+    taken relative to the largest component, so that no ratio is the exp of a
+    difference of two logs near -1000, which alone would cost ~1e-13."""
+    from fundselect import dvalues
+
+    c0, c1, c2 = dvalues._component_logs(dev, comps)
+    logf = dvalues._logsumexp3(c0, c1, c2)
+    top = np.maximum(np.maximum(c0, c1), c2)
+    with np.errstate(invalid="ignore"):
+        r0, r1, r2 = c0 - top, c1 - top, c2 - top
+    neg1, pos1 = dvalues._log_half_masses(dev, params.nu1, params.tau1_sq, lam)
+    neg2, pos2 = dvalues._log_half_masses(dev, params.nu2, params.tau2_sq, lam)
+    r0_los = r0 if spike_in_los else np.full_like(r0, -np.inf)
+    with np.errstate(invalid="ignore"):
+        log_s = dvalues._logsumexp3(r0, r1, r2)
+        d = np.exp(dvalues._logsumexp3(r0, r1 + neg1, r2 + neg2) - log_s)
+        los = np.exp(dvalues._logsumexp3(r0_los, r1 + pos1, r2 + pos2) - log_s)
+    dead = ~np.isfinite(logf)
+    d[dead] = 0.0
+    los[dead] = 0.0
+    return logf, d, los
+
+
+@pytest.mark.parametrize("params", [
+    BASE,
+    BASE_SPIKE_AT_ZERO,
+    MixtureParams(pi0=0.3, pi1=0.7, pi2=0.0, nu0=-0.2, nu1=-0.4, nu2=0.8,
+                  tau1_sq=0.05, tau2_sq=0.3),
+    MixtureParams(pi0=0.2, pi1=0.0, pi2=0.8, nu0=0.0, nu1=-0.4, nu2=0.8,
+                  tau1_sq=0.05, tau2_sq=0.3),
+], ids=["spike-below-zero", "spike-at-zero", "empty-upper-slab", "empty-lower-slab"])
+@pytest.mark.parametrize("lam", [0.02, 1.0])
+def test_tile_chain_matches_the_log_domain_reference(params, lam):
+    """The linear posterior ratios agree with the log-domain reference to
+    1e-13 over deviations in [-40, 40], and log f is the same bits; rows of
+    zero density give ratios of 0."""
+    from fundselect import dvalues
+
+    dev = np.linspace(-40.0, 40.0, 30 * 64).reshape(30, 64)
+    dev[[4, 17]] = 1e200  # dead rows: zero density under every component
+    comps = tuple(
+        (dvalues._log_weight(pi), nu, var)
+        for pi, nu, var in ((params.pi0, params.nu0, lam),
+                            (params.pi1, params.nu1, params.tau1_sq + lam),
+                            (params.pi2, params.nu2, params.tau2_sq + lam))
+    )
+    spike_in_los = params.nu0 == 0.0
+    logf, d, los = (np.empty_like(dev) for _ in range(3))
+    dvalues._tile_ratios(dev, comps, params, lam, spike_in_los, logf, d, los)
+    ref_logf, ref_d, ref_los = _log_domain_tile(dev, comps, params, lam, spike_in_los)
+    np.testing.assert_array_equal(logf, ref_logf)
+    assert np.isneginf(logf[[4, 17]]).all() and np.isfinite(np.delete(logf, [4, 17], 0)).all()
+    np.testing.assert_allclose(d, ref_d, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(los, ref_los, rtol=0, atol=1e-13)
+    assert (d[[4, 17]] == 0.0).all() and (los[[4, 17]] == 0.0).all()
+
+
 def test_dvalues_error_shrinks_at_root_n_rate():
     """Across replicate seeds, doubling n_samples shrinks the spread ~1/sqrt(2)."""
     dep = dependence_from_correlation(_corr(30, 0.3))
@@ -542,13 +601,13 @@ def test_dvalues_raise_when_a_posterior_probability_leaves_unit_interval(monkeyp
     assert that `python -O` would strip."""
     from fundselect import dvalues
 
-    half_masses = dvalues._log_half_masses
+    half_probabilities = dvalues._half_probabilities
 
     def inflated(dev, mu0, tau_sq, noise_var):
-        neg, pos = half_masses(dev, mu0, tau_sq, noise_var)
-        return neg + math.log(3.0), pos
+        neg, pos = half_probabilities(dev, mu0, tau_sq, noise_var)
+        return 3.0 * neg, pos
 
-    monkeypatch.setattr(dvalues, "_log_half_masses", inflated)
+    monkeypatch.setattr(dvalues, "_half_probabilities", inflated)
     dep = dependence_from_correlation(_corr(5, 0.3))
     with pytest.raises(NumericalError, match=r"left \[0, 1\]: it spans"):
         compute_dvalues(np.full(5, -2.0), dep, BASE, n_samples=64, seed=0)

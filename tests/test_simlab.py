@@ -41,6 +41,7 @@ def test_setting_validation():
         dict(good, dependence="iid"),
         dict(good, theta=1.0),
         dict(good, reps=0),
+        dict(good, n_months=11),
     ):
         with pytest.raises(ConfigError):
             SimSetting(**bad)
@@ -228,13 +229,11 @@ def _rep_reporting_blas_threads(args):
     return out
 
 
-@pytest.mark.parametrize("workers, reps, processes, threads",
-                         [(2, 2, 2, 3), (8, 2, 2, 3), (3, 6, 3, 2), (8, 1, None, None)])
-def test_pool_workers_share_the_usable_cores_as_blas_threads(
-    monkeypatch, workers, reps, processes, threads
-):
+@pytest.mark.parametrize("workers, reps, processes",
+                         [(2, 2, 2), (8, 2, 2), (3, 6, 3), (8, 1, None)])
+def test_pool_workers_run_one_blas_thread(monkeypatch, workers, reps, processes):
     """The pool starts min(workers, reps) processes, each of which runs
-    OpenBLAS on usable cores // processes threads; one replication runs in
+    OpenBLAS on one thread, whatever the core count; one replication runs in
     this process, whose BLAS is left alone."""
     controls = simlab._openblas_thread_controls()
     if not controls:
@@ -253,7 +252,7 @@ def test_pool_workers_share_the_usable_cores_as_blas_threads(
     setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=0.1, reps=reps, seed=2)
     out = run_sim_study(setting, workers=workers)
     assert sizes == ([] if processes is None else [processes])
-    assert out["dvalue"].selected == [threads or min(before)] * reps
+    assert out["dvalue"].selected == [1 if processes else min(before)] * reps
     assert [get() for _, get in controls] == before
 
 
