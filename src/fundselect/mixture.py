@@ -297,32 +297,27 @@ def _newton_starts(targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_steps(
-    X: np.ndarray, R: np.ndarray, t1, t2, eta_bar: float, eta4_bar: float, cell: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ridged Gauss-Newton steps of the rows (X, R), and a mask of the rows
-    whose cell holds a singular system. np.linalg.solve refuses a whole batch
-    for one singular matrix, so after a refusal each cell is solved alone: a
-    cell refused again gets no steps, every other cell gets the steps a
-    batch of its rows alone gives."""
+def _newton_steps(X: np.ndarray, R: np.ndarray, t1, t2, eta_bar: float, eta4_bar: float) -> np.ndarray:
+    """Ridged Gauss-Newton steps of the rows (X, R). np.linalg.solve refuses
+    a whole batch for one singular matrix, so after a refusal each row is
+    solved alone, as a batch of one: a refused row gets a zero step, every
+    other row the step the whole batch gives."""
     J = _jacobian(X, t1, t2, eta_bar, eta4_bar)
     G = np.einsum("nij,nik->njk", J, J)
     ridge = 1e-12 * (1.0 + np.trace(G, axis1=1, axis2=2))
     G[:, np.arange(4), np.arange(4)] += ridge[:, None]
-    g = np.einsum("nij,ni->nj", J, R)
+    g = np.einsum("nij,ni->nj", J, R)[..., None]
     try:
-        return np.linalg.solve(G, g[..., None])[..., 0], np.zeros(len(g), dtype=bool)
+        return np.linalg.solve(G, g)[..., 0]
     except np.linalg.LinAlgError:
         pass
-    step = np.zeros_like(g)
-    singular = np.zeros(len(g), dtype=bool)
-    for c in np.unique(cell).tolist():
-        mine = cell == c
+    step = np.zeros(g.shape[:2])
+    for i in range(len(g)):
         try:
-            step[mine] = np.linalg.solve(G[mine], g[mine][..., None])[..., 0]
+            step[i] = np.linalg.solve(G[i : i + 1], g[i : i + 1])[0, :, 0]
         except np.linalg.LinAlgError:
-            singular[mine] = True
-    return step, singular
+            pass
+    return step
 
 
 def _newton_cells(
@@ -342,30 +337,17 @@ def _newton_cells(
     t1 = np.tile(np.repeat(tau1_arr, _N_STARTS), k)
     t2 = np.tile(np.repeat(tau2_arr, _N_STARTS), k)
     tgt = np.repeat(targets, per_cell, axis=0)
-    cell = np.repeat(np.arange(k), per_cell)
 
     R = _residuals(X, t1, t2, tgt, eta_bar, eta4_bar)
     rnorm = np.max(np.abs(R), axis=1)
-    converged = rnorm < 1e-12
-    live = np.nonzero(~converged)[0]
-    unchecked = np.nonzero(converged)[0]  # converged, system not yet factored
+    live = np.nonzero(~(rnorm < 1e-12))[0]
     # window[it % _STALL_WINDOW] holds every row's residual before iteration it
     window = np.empty((_STALL_WINDOW, rnorm.size))
     for it in range(60):
         if live.size == 0:
             break
         window[it % _STALL_WINDOW] = rnorm
-        # a cell without live rows has stopped: its converged rows are not
-        # factored again
-        running = np.zeros(k, dtype=bool)
-        running[cell[live]] = True
-        rows = np.concatenate([live, unchecked[running[cell[unchecked]]]])
-        step, singular = _newton_steps(
-            X[rows], R[rows], t1[rows], t2[rows], eta_bar, eta4_bar, cell[rows]
-        )
-        keep = ~singular[: live.size]  # a singular system stops its own cell
-        live = live[keep]
-        step = step[: keep.size][keep]
+        step = _newton_steps(X[live], R[live], t1[live], t2[live], eta_bar, eta4_bar)
         step = np.where(np.isfinite(step), step, 0.0)
 
         X_live, rn_live = X[live], rnorm[live]
@@ -390,9 +372,7 @@ def _newton_cells(
             accepted[work[hit]] = True
             work = work[~hit]
         moved = live[accepted]
-        converged = rnorm[moved] < 1e-12
-        unchecked = moved[converged]
-        live = moved[~converged]
+        live = moved[~(rnorm[moved] < 1e-12)]
         if it >= _STALL_WINDOW - 1:
             now, before = rnorm[live], window[(it + 1) % _STALL_WINDOW, live]
             live = live[~((now >= _RESID_TOL) & (before - now < _STALL_DROP * before))]
@@ -409,10 +389,9 @@ def _solve_moment_batch(
     """Damped multi-start Newton over (pi1, pi2, u1, u2) for many cells and
     variance pairs.
 
-    targets is (c, 4), one row of moment targets per cell, or (4,) for a
-    single cell; tau*_arr are (n,), the variance pairs every cell solves.
-    Returns (feasible bool (c, n), solutions (c, n, 4)), or (n,) and (n, 4)
-    for 1-d targets; infeasible rows are NaN.
+    targets is (c, 4), one row of moment targets per cell; tau*_arr are
+    (n,), the variance pairs every cell solves. Returns (feasible bool
+    (c, n), solutions (c, n, 4)); infeasible rows are NaN.
 
     Every row (cell x variance pair x start) takes at most 60 Gauss-Newton
     steps; a step is scaled by the first of 1, 1/2, ..., 2**-29 that lowers
@@ -429,21 +408,19 @@ def _solve_moment_batch(
     system is not factored again. A creeping row could still converge, so
     the rule can change a chosen root's last bits against running every row
     for 60 iterations; rows below `_RESID_TOL` never stop early, so a root
-    that converges keeps its bits. The 4x4 systems of rows that
-    just converged are factored once more while their cell has live rows,
-    because a singular one ends the iteration for every row of its cell,
-    exactly as when every row of the cell is solved on every iteration.
-    Every operation acts row by row, so each cell's result is bit-identical
-    to the full-batch iteration of that cell alone under the same rules.
+    that converges keeps its bits. A row whose 4x4 system LAPACK refuses as
+    singular gets a zero step (`_newton_steps`), so it stops like a fixed
+    point. Every operation acts row by row, so each row's result is
+    bit-identical to the full-batch iteration of its cell alone under the
+    same rules.
     """
-    cells = np.atleast_2d(targets)
-    c, n = cells.shape[0], tau1_arr.shape[0]
+    c, n = targets.shape[0], tau1_arr.shape[0]
     feasible = np.zeros((c, n), dtype=bool)
     chosen = np.full((c, n, 4), np.nan)
     block = max(_SOLVE_ROWS // (n * _N_STARTS), 1)
     for lo in range(0, c, block):
         hi = min(lo + block, c)
-        X, rnorm = _newton_cells(cells[lo:hi], tau1_arr, tau2_arr, eta_bar, eta4_bar)
+        X, rnorm = _newton_cells(targets[lo:hi], tau1_arr, tau2_arr, eta_bar, eta4_bar)
         pi1, pi2 = X[:, 0], X[:, 1]
         pi0 = 1.0 - pi1 - pi2
         # Components are identified by ordering their offsets (u1 <= u2); the
@@ -467,8 +444,7 @@ def _solve_moment_batch(
         sols = X.reshape(pairs, _N_STARTS, 4)[np.arange(pairs), best_start]
         feasible[lo:hi] = ok.reshape(hi - lo, n)
         chosen[lo:hi] = np.where(ok[:, None], sols, np.nan).reshape(hi - lo, n, 4)
-    lead = targets.shape[:-1]
-    return feasible.reshape(lead + (n,)), chosen.reshape(lead + (n, 4))
+    return feasible, chosen
 
 
 def solve_moments(
@@ -484,8 +460,8 @@ def solve_moments(
     """
     if tau1_sq <= 0.0 or tau2_sq <= 0.0:
         raise DataError("component variances must be positive")
-    targets = np.asarray([mom.m1, mom.m2, mom.m3, mom.m4], dtype=float)
-    feasible, sols = _solve_moment_batch(
+    targets = np.asarray([[mom.m1, mom.m2, mom.m3, mom.m4]], dtype=float)
+    (feasible,), (sols,) = _solve_moment_batch(
         targets,
         np.asarray([tau1_sq], dtype=float),
         np.asarray([tau2_sq], dtype=float),

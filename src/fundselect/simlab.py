@@ -8,13 +8,16 @@ alongside the BH and adaptive-BH baselines. Replications run in parallel with
 per-replication substreams, so results do not depend on the worker count.
 
 Worker threads: `map_jobs` starts at most one process per job, up to the
-requested workers, and each process runs the OpenBLAS that NumPy has loaded
-on one thread; the CLI runs its own process on one thread too. No BLAS call
-in the pipeline gets faster on two threads (the largest, the thin SVD of the
-dependence model at p=2000, T=240, takes longer), while a second thread
-spins beside every small call, and with as many processes as cores the
-threads of different processes spin against each other. The study's results
-are the same bits with one worker process or several.
+requested workers, and sets every OpenBLAS already loaded in each (NumPy's,
+and SciPy's once `scipy.special` is imported) to one thread. With one worker
+the jobs run in the calling process, also on one thread, and the caller's
+thread counts come back afterwards; the CLI sets its own process the same
+way when it starts. No BLAS call in the pipeline gets faster on two threads
+(the largest, the thin SVD of the dependence model at p=2000, T=240, takes
+longer), while a second thread spins beside every small call, and with as
+many processes as cores the threads of different processes spin against each
+other. The study's results are the same bits with one worker process or
+several.
 """
 
 from __future__ import annotations
@@ -310,10 +313,10 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# Thread-count entry points of the OpenBLAS builds NumPy ships with; the
-# builds with 64-bit integers add a suffix, NumPy's wheels also a prefix.
-_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads")
+# Thread-count entry points of the OpenBLAS builds NumPy and SciPy ship with;
+# the builds with 64-bit integers add a suffix, the wheels' builds a prefix.
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
 def _openblas_thread_controls() -> list[tuple]:
@@ -351,8 +354,10 @@ def _limit_blas_threads(threads: int) -> None:
 def map_jobs(fn, jobs: list, workers: int, catch: tuple = ()) -> list:
     """[fn(job) for job in jobs], run on min(workers, len(jobs)) processes,
     or in this process when that is at most one; `fn` and each job must
-    pickle. An exception of a type in `catch` stands in for its job's result;
-    any other propagates, the one of the earliest job first."""
+    pickle. Every job runs OpenBLAS on one thread: in this process, the
+    caller's thread counts come back when the jobs end, also on an error.
+    An exception of a type in `catch` stands in for its job's result; any
+    other propagates, the one of the earliest job first."""
     def outcome(call, *args):
         try:
             return call(*args)
@@ -361,7 +366,14 @@ def map_jobs(fn, jobs: list, workers: int, catch: tuple = ()) -> list:
 
     processes = min(workers, len(jobs))
     if processes <= 1:
-        return [outcome(fn, job) for job in jobs]
+        controls = _openblas_thread_controls()
+        before = [get_num_threads() for _, get_num_threads in controls]
+        _limit_blas_threads(1)
+        try:
+            return [outcome(fn, job) for job in jobs]
+        finally:
+            for (set_num_threads, _), threads in zip(controls, before):
+                set_num_threads(threads)
     with ProcessPoolExecutor(max_workers=processes, initializer=_limit_blas_threads,
                              initargs=(1,)) as pool:
         futures = [pool.submit(fn, job) for job in jobs]

@@ -417,7 +417,8 @@ def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar, stal
     """Every row on every iteration. With stall=True a row whose residual
     is still >= 1e-8 and has fallen by less than 1e-3 of itself over the last
     10 iterations is frozen: it takes no more steps and its system is not
-    factored again."""
+    factored again. When the solver refuses the batch, each row is solved
+    alone, and a row it refuses again takes a zero step."""
     n = tau1_arr.shape[0]
     n_start = 8
     starts = _newton_starts(targets)
@@ -442,7 +443,11 @@ def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar, stal
         try:
             step[~frozen] = np.linalg.solve(G[~frozen], g[~frozen][..., None])[..., 0]
         except np.linalg.LinAlgError:
-            break
+            for i in np.flatnonzero(~frozen):
+                try:
+                    step[i] = np.linalg.solve(G[i:i + 1], g[i:i + 1, :, None])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    pass
         step = np.where(np.isfinite(step), step, 0.0)
 
         alpha = np.ones(n * n_start)
@@ -741,7 +746,7 @@ def test_active_set_newton_matches_full_batch():
     tau2 = np.tile(taus, taus.size)
     n_feasible = 0
     for targets, eta, eta4 in _moment_targets():
-        feasible, sols = _solve_moment_batch(targets, tau1, tau2, eta, eta4)
+        (feasible,), (sols,) = _solve_moment_batch(targets[None], tau1, tau2, eta, eta4)
         ref_feasible, ref_sols = _ref_solve_moment_batch(targets, tau1, tau2, eta, eta4)
         np.testing.assert_array_equal(feasible, ref_feasible)
         assert np.array_equal(sols, ref_sols, equal_nan=True)
@@ -813,8 +818,8 @@ def _stalled_rows(targets, tau1, tau2):
     X, rnorm = _newton_cells(targets[None], tau1, tau2, eta, eta4)
     t1, t2 = np.repeat(tau1, 8), np.repeat(tau2, 8)
     live = rnorm >= 1e-12
-    step, _ = _newton_steps(X[live], _residuals(X[live], t1[live], t2[live], targets, eta, eta4),
-                            t1[live], t2[live], eta, eta4, np.zeros(int(live.sum()), dtype=int))
+    step = _newton_steps(X[live], _residuals(X[live], t1[live], t2[live], targets, eta, eta4),
+                         t1[live], t2[live], eta, eta4)
     step = np.where(np.isfinite(step), step, 0.0)
     stalled = np.ones(len(step), dtype=bool)
     for j in range(30):
@@ -848,14 +853,15 @@ def test_stacked_newton_matches_each_cell_alone(monkeypatch, solve_rows):
     assert _stalled_rows(targets[3], tau1, tau2) > 0
 
 
-def test_singular_system_stops_only_its_own_cell(monkeypatch):
+def test_singular_system_stops_only_its_own_row(monkeypatch):
     """A solver that refuses every batch holding a system with an entry above
-    1e12 (as LAPACK refuses an exactly singular one) stops the wide cell,
-    which alone reaches such entries; the stacked solve then equals each
-    cell solved alone under the same solver, and the other cells are
-    untouched."""
+    1e12 (as LAPACK refuses an exactly singular one) stops the rows whose
+    systems hold such an entry where they are; all of them are rows of the
+    wide cell. Every other row, the wide cell's included, equals the clean
+    iteration bit for bit, and the stacked solve equals each cell solved
+    alone under the same solver."""
     targets, tau1, tau2 = _stacked_cells()
-    clean = [_ref_solve_moment_batch(t, tau1, tau2, *_STACK_ETA) for t in targets]
+    clean_X, clean_rnorm = _newton_cells(targets, tau1, tau2, *_STACK_ETA)
     real_solve = np.linalg.solve
 
     def refusing_solve(a, b):
@@ -864,13 +870,25 @@ def test_singular_system_stops_only_its_own_cell(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", refusing_solve)
+    X, rnorm = _newton_cells(targets, tau1, tau2, *_STACK_ETA)
+    t1, t2 = np.tile(np.repeat(tau1, 8), 4), np.tile(np.repeat(tau2, 8), 4)
+    J = _jacobian(X, t1, t2, *_STACK_ETA)
+    big = np.abs(np.einsum("nij,nik->njk", J, J)).max(axis=(1, 2)) > 1e12
+    cell = np.repeat(np.arange(4), tau1.size * 8)
+    assert big.any() and (cell[big] == 3).all() and (~big & (cell == 3)).any()
+    np.testing.assert_array_equal(X[~big], clean_X[~big])
+    np.testing.assert_array_equal(rnorm[~big], clean_rnorm[~big])
+    # a refused row keeps its point: its step is zero, and the clean
+    # iteration, which factors it, moves some such row on
+    R = _residuals(X[big], t1[big], t2[big], targets[3], *_STACK_ETA)
+    assert not _newton_steps(X[big], R, t1[big], t2[big], *_STACK_ETA).any()
+    assert not np.array_equal(X[big], clean_X[big])
+
     feasible, sols = _solve_moment_batch(targets, tau1, tau2, *_STACK_ETA)
-    for cell, t in enumerate(targets):
+    for c, t in enumerate(targets):
         ref_feasible, ref_sols = _ref_solve_moment_batch(t, tau1, tau2, *_STACK_ETA)
-        np.testing.assert_array_equal(feasible[cell], ref_feasible)
-        assert np.array_equal(sols[cell], ref_sols, equal_nan=True)
-        stopped = not np.array_equal(ref_sols, clean[cell][1], equal_nan=True)
-        assert stopped == (cell == 3)
+        np.testing.assert_array_equal(feasible[c], ref_feasible)
+        assert np.array_equal(sols[c], ref_sols, equal_nan=True)
 
 
 def test_batched_simulation_matches_four_draw_reference():

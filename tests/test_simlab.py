@@ -234,7 +234,8 @@ def _rep_reporting_blas_threads(args):
 def test_pool_workers_run_one_blas_thread(monkeypatch, workers, reps, processes):
     """The pool starts min(workers, reps) processes, each of which runs
     OpenBLAS on one thread, whatever the core count; one replication runs in
-    this process, whose BLAS is left alone."""
+    this process, on one thread too, and this process's thread counts come
+    back afterwards."""
     controls = simlab._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process")
@@ -252,8 +253,53 @@ def test_pool_workers_run_one_blas_thread(monkeypatch, workers, reps, processes)
     setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=0.1, reps=reps, seed=2)
     out = run_sim_study(setting, workers=workers)
     assert sizes == ([] if processes is None else [processes])
-    assert out["dvalue"].selected == [1 if processes else min(before)] * reps
+    assert out["dvalue"].selected == [1] * reps
     assert [get() for _, get in controls] == before
+
+
+def _blas_threads(job):
+    """The thread count of every OpenBLAS loaded in the process that runs it."""
+    return [get() for _, get in simlab._openblas_thread_controls()]
+
+
+def _failing_job(job):
+    raise RuntimeError(f"job {job} failed")
+
+
+def test_in_process_jobs_run_one_blas_thread_and_restore_the_callers():
+    """With one worker, the jobs run in this process on one OpenBLAS thread,
+    and the caller's two threads come back afterwards, also when a job
+    raises."""
+    controls = simlab._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for _, get in controls]
+    try:
+        for set_num_threads, _ in controls:
+            set_num_threads(2)
+        assert simlab.map_jobs(_blas_threads, [0, 1], workers=1) == [[1] * len(controls)] * 2
+        assert [get() for _, get in controls] == [2] * len(controls)
+        with pytest.raises(RuntimeError, match="job 0 failed"):
+            simlab.map_jobs(_failing_job, [0], workers=1)
+        assert [get() for _, get in controls] == [2] * len(controls)
+    finally:
+        for (set_num_threads, _), threads in zip(controls, before):
+            set_num_threads(threads)
+
+
+def test_thread_controls_cover_every_loaded_openblas():
+    """One thread control per OpenBLAS library mapped into this process,
+    SciPy's own included once scipy.special has loaded it."""
+    import scipy.special  # noqa: F401  (loads SciPy's OpenBLAS, if it has one)
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libraries = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        pytest.skip("no /proc/self/maps on this platform")
+    if not libraries:
+        pytest.skip("no OpenBLAS loaded in this process")
+    assert len(simlab._openblas_thread_controls()) == len(libraries)
 
 
 def test_blas_limit_does_nothing_without_openblas(monkeypatch):
