@@ -25,7 +25,6 @@ class BacktestConfig:
     end_year: int
     window_years: int = 10
     theta: float = 0.15
-    initial_value: float = 1.0
     fallback: str = "hold-cash"
     benchmark_csv: str | None = None
     n_samples: int = 2000
@@ -40,8 +39,6 @@ class BacktestConfig:
             raise ConfigError(
                 f"end_year {self.end_year} precedes start_year {self.start_year}"
             )
-        if self.initial_value <= 0.0:
-            raise ConfigError(f"initial_value must be positive, got {self.initial_value}")
         if self.fallback not in ("hold-cash", "hold-index"):
             raise ConfigError(
                 f"fallback must be 'hold-cash' or 'hold-index', got {self.fallback!r}"
@@ -174,7 +171,7 @@ def run_backtest(
 
     years = list(range(config.start_year, config.end_year + 1))
     tracks = list(STRATEGIES) + (["index"] if benchmark is not None else [])
-    values: dict[str, list[float]] = {t: [config.initial_value] for t in tracks}
+    values: dict[str, list[float]] = {t: [1.0] for t in tracks}
     selections: dict[str, dict[int, list[str]]] = {t: {} for t in tracks}
 
     held_months = {y: [d for d in (f"{y}-{m:02d}" for m in range(1, 13)) if d in by_date]

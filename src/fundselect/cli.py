@@ -176,7 +176,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp.add_argument("--end-year", type=int, help="last holding year")
     sp.add_argument("--window-years", type=int, default=10)
     sp.add_argument("--theta", type=float, default=0.15)
-    sp.add_argument("--initial-value", type=float, default=1.0)
     sp.add_argument("--fallback", choices=["hold-cash", "hold-index"], default="hold-cash")
     sp.add_argument("--benchmark", help="benchmark return CSV (date,ret)")
     sp.add_argument("--mc-samples", type=_mc_samples, default=2000)
@@ -548,7 +547,6 @@ def _cmd_backtest(args, ctx: _RunContext) -> None:
         end_year=args.end_year,
         window_years=args.window_years,
         theta=args.theta,
-        initial_value=args.initial_value,
         fallback=args.fallback,
         benchmark_csv=args.benchmark,
         n_samples=args.mc_samples,
@@ -601,7 +599,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # one BLAS thread per process, pool workers included (simlab docstring)
+    # one BLAS thread per process, pool workers and OpenBLAS libraries loaded
+    # later included (simlab docstring)
     _limit_blas_threads(1)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, by_name = build_parser()

@@ -17,10 +17,13 @@ mode contributes one multivariate-t component (5 degrees of freedom, 1.2x the
 inverse-Hessian scale) weighted by its Laplace evidence. With no factors
 (rank 0) the posterior needs no sampling and every draw carries equal weight.
 
-Densities stay in the log domain (component logs, log f, importance weights,
-mode search); posterior ratios are linear, sum_c e_c P_c(half) / sum_c e_c
-with e_c = exp(c_c - max c) from log f's own logsumexp and each slab's half
-probabilities from one normal tail. The closed-form masses stay in logs.
+One max-shift kernel gives every density: with c_c = log pi_c + log
+N(dev; mean_c, var_c) for the spike and both slabs and top = max c,
+e_c = exp(c_c - top) and log f = log(e0 + e1 + e2) + top feed the importance
+weights and the mode search, and a posterior ratio is linear,
+sum_c e_c P_c(half) / sum_c e_c, with each slab's half probabilities from one
+normal tail. `local_fdr` is the same chain at unit noise without factors, and
+a closed-form mass is a component's joint density times its half probability.
 
 For each block of draws the factor contribution B W is one matrix product;
 the elementwise chain that follows (component log densities, half
@@ -71,10 +74,6 @@ class DValueReport:
     seed: int
 
 
-def _log_norm_pdf(x, mean, var):
-    return -0.5 * (_LOG_2PI + np.log(var)) - (x - mean) ** 2 / (2.0 * var)
-
-
 def _posterior_q(dev, mu0, tau_sq, noise_var):
     """q = beta / sqrt(sig_sq), where N(beta, sig_sq) is the posterior of mu ~
     N(mu0, tau_sq) given x = mu + N(0, noise_var) = dev: P(mu <= 0 | x) = Phi(-q)."""
@@ -83,21 +82,11 @@ def _posterior_q(dev, mu0, tau_sq, noise_var):
     return beta / np.sqrt(sig_sq)
 
 
-def _log_half_masses(dev, mu0, tau_sq, noise_var):
-    """log P(mu <= 0 | x = dev) and log P(mu >= 0 | x = dev). Added to the log
-    joint density of x and the component, these give the log masses of its
-    nonpositive and nonnegative halves."""
-    # imported here: loading scipy.special costs ~0.3 s, which commands that
-    # compute no d-value should not pay
-    from scipy.special import log_ndtr
-
-    q = _posterior_q(dev, mu0, tau_sq, noise_var)
-    return log_ndtr(-q), log_ndtr(q)
-
-
 def _half_probabilities(dev, mu0, tau_sq, noise_var):
     """P(mu <= 0 | x = dev) and P(mu >= 0 | x = dev): the smaller half is one
     normal tail, ndtr(-|q|), the larger its complement."""
+    # imported here: loading scipy.special costs ~0.3 s, which commands that
+    # compute no d-value should not pay
     from scipy.special import ndtr
 
     q = _posterior_q(dev, mu0, tau_sq, noise_var)
@@ -106,55 +95,22 @@ def _half_probabilities(dev, mu0, tau_sq, noise_var):
     return np.where(up, small, large), np.where(up, large, small)
 
 
-def _log_component_masses(mu0, tau_sq, lambda_p, shift, z):
-    if tau_sq <= 0.0 or lambda_p <= 0.0:
-        raise DataError("variances must be positive")
-    log_joint = _log_norm_pdf(z, mu0 + shift, tau_sq + lambda_p)
-    neg, pos = _log_half_masses(z - shift, mu0, tau_sq, lambda_p)
-    return log_joint + neg, log_joint + pos
-
-
-def component_mass_nonpositive(mu0, tau_sq, lambda_p, shift, z) -> float:
-    """Joint density mass of {statistic = z, component mean <= 0} for one
-    Gaussian prior component N(mu0, tau_sq), given factor contribution `shift`."""
-    return float(np.exp(_log_component_masses(mu0, tau_sq, lambda_p, shift, z)[0]))
-
-
-def component_mass_nonnegative(mu0, tau_sq, lambda_p, shift, z) -> float:
-    """Complementary mass over nonnegative component means."""
-    return float(np.exp(_log_component_masses(mu0, tau_sq, lambda_p, shift, z)[1]))
-
-
-def _logsumexp3(a, b, c):
-    """Elementwise logsumexp of three arrays, -inf safe."""
-    m = np.maximum(np.maximum(a, b), c)
-    if m.ndim and np.isfinite(m).all():
-        # the guards below change nothing here: sum the same exps in the
-        # same order, in place (0-d inputs take the general path, since
-        # ufuncs refuse a numpy scalar as `out`)
-        out = np.subtract(a, m)
-        np.exp(out, out=out)
-        tmp = np.subtract(b, m)
-        out += np.exp(tmp, out=tmp)
-        np.subtract(c, m, out=tmp)
-        out += np.exp(tmp, out=tmp)
-        np.log(out, out=out)
-        out += m
-        return out
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe_m + np.log(
-            np.exp(a - safe_m) + np.exp(b - safe_m) + np.exp(c - safe_m)
-        )
-    return np.where(np.isfinite(m), out, m)
-
-
 def _log_weight(pi):
     return np.log(pi) if pi > 0.0 else -np.inf
 
 
+def _components(params: MixtureParams, noise_var: float):
+    """(log weight, mean, variance) of the spike and both slabs in the law of a
+    statistic with noise variance `noise_var`."""
+    return (
+        (_log_weight(params.pi0), params.nu0, noise_var),
+        (_log_weight(params.pi1), params.nu1, params.tau1_sq + noise_var),
+        (_log_weight(params.pi2), params.nu2, params.tau2_sq + noise_var),
+    )
+
+
 def _component_logs(dev, comps):
-    """log pi_c + log N(dev; mean_c, var_c) for the spike and both slabs."""
+    """log pi_c + log N(dev; mean_c, var_c) for each component."""
     # deviations beyond ~1e154 square to inf; the resulting -inf log
     # density is exactly right, so silence the benign overflow signal
     with np.errstate(over="ignore"):
@@ -164,37 +120,64 @@ def _component_logs(dev, comps):
         ]
 
 
+def _shifted_weights(logs):
+    """e_c = exp(c_c - top) for the three component logs, written over them,
+    their total and log f = log(total) + top, where top = max_c c_c, or 0
+    where every c_c is -inf (there total = 0 and log f = -inf)."""
+    top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
+    top[~np.isfinite(top)] = 0.0
+    e = [np.exp(np.subtract(c, top, out=c), out=c) for c in logs]
+    total = e[0] + e[1]
+    total += e[2]
+    with np.errstate(divide="ignore"):
+        logf = np.log(total)
+    logf += top
+    return e, total, logf
+
+
+def _component_masses(mu0, tau_sq, lambda_p, shift, z):
+    """The component's joint density at z times its two half probabilities."""
+    if tau_sq <= 0.0 or lambda_p <= 0.0:
+        raise DataError("variances must be positive")
+    dev = np.float64(z - shift)  # squares to inf, not OverflowError, beyond ~1e154
+    (log_joint,) = _component_logs(dev, ((0.0, mu0, tau_sq + lambda_p),))
+    neg, pos = _half_probabilities(dev, mu0, tau_sq, lambda_p)
+    return math.exp(log_joint) * neg, math.exp(log_joint) * pos
+
+
+def component_mass_nonpositive(mu0, tau_sq, lambda_p, shift, z) -> float:
+    """Joint density mass of {statistic = z, component mean <= 0} for one
+    Gaussian prior component N(mu0, tau_sq), given factor contribution `shift`."""
+    return float(_component_masses(mu0, tau_sq, lambda_p, shift, z)[0])
+
+
+def component_mass_nonnegative(mu0, tau_sq, lambda_p, shift, z) -> float:
+    """Complementary mass over nonnegative component means."""
+    return float(_component_masses(mu0, tau_sq, lambda_p, shift, z)[1])
+
+
 def _tiled_log_density(dev, comps):
     """log f(dev) for the spike-and-slab mixture, one tile of funds at a time."""
     logf = np.empty_like(dev)
     for start in range(0, dev.shape[0], _TILE_ROWS):
         rows = slice(start, start + _TILE_ROWS)
-        logf[rows] = _logsumexp3(*_component_logs(dev[rows], comps))
+        logf[rows] = _shifted_weights(_component_logs(dev[rows], comps))[2]
     return logf
 
 
-def _tile_ratios(dev, comps, params, lam, spike_in_los, logf, ratio_d, ratio_los):
-    """The sampler's elementwise chain on one tile of funds (rows of dev).
-
-    Fills `logf` with log f(dev), by the steps of `_logsumexp3` (so with its
-    bits), and `ratio_d` / `ratio_los` with P(mu <= 0 | dev) /
-    P(mu >= 0 | dev), set to 0 where f(dev) = 0.
-    """
-    c0, c1, c2 = _component_logs(dev, comps)
-    top = np.maximum(np.maximum(c0, c1), c2)
-    dead = ~np.isfinite(top)
-    top[dead] = 0.0
-    e0, e1, e2 = (np.exp(np.subtract(c, top, out=c), out=c) for c in (c0, c1, c2))
-    total = e0 + e1
-    total += e2
+def _tile_ratios(dev, comps, params, lam):
+    """log f(dev), P(mu <= 0 | dev) and P(mu >= 0 | dev) for one tile of funds
+    (rows of dev) at noise variance `lam`; the ratios are 0 where f(dev) = 0."""
+    (e0, e1, e2), total, logf = _shifted_weights(_component_logs(dev, comps))
     neg1, pos1 = _half_probabilities(dev, params.nu1, params.tau1_sq, lam)
     neg2, pos2 = _half_probabilities(dev, params.nu2, params.tau2_sq, lam)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.add(np.log(total, out=logf), top, out=logf)
-        np.divide(e0 + e1 * neg1 + e2 * neg2, total, out=ratio_d)
-        np.divide(spike_in_los * e0 + e1 * pos1 + e2 * pos2, total, out=ratio_los)
+    with np.errstate(invalid="ignore"):
+        ratio_d = (e0 + e1 * neg1 + e2 * neg2) / total
+        ratio_los = ((params.nu0 == 0.0) * e0 + e1 * pos1 + e2 * pos2) / total
+    dead = ~np.isfinite(logf)
     ratio_d[dead] = 0.0
     ratio_los[dead] = 0.0
+    return logf, ratio_d, ratio_los
 
 
 def _log_posterior(w, z, B, comps):
@@ -202,7 +185,7 @@ def _log_posterior(w, z, B, comps):
     Hessian, from the closed-form score of each fund's mixture density."""
     dev = z - B @ w
     logs = _component_logs(dev, comps)
-    logf = _logsumexp3(*logs)
+    logf = _shifted_weights([lc.copy() for lc in logs])[2]
     value = float(logf.sum() - 0.5 * (w @ w))
     # far from the data the score terms overflow; such points have zero
     # density, and callers look at their value only
@@ -354,15 +337,7 @@ def compute_dvalues(
     lam = dep.lambda_p
     B = dep.B
     rank = dep.rank
-    lp0w, lp1w, lp2w = (
-        _log_weight(params.pi0),
-        _log_weight(params.pi1),
-        _log_weight(params.pi2),
-    )
-    v1 = params.tau1_sq + lam
-    v2 = params.tau2_sq + lam
-    comps = ((lp0w, params.nu0, lam), (lp1w, params.nu1, v1), (lp2w, params.nu2, v2))
-    spike_in_los = params.nu0 == 0.0
+    comps = _components(params, lam)
 
     if rank:
         modes = _posterior_modes(z, B, comps, seed)
@@ -400,8 +375,8 @@ def compute_dvalues(
             logf, ratio_d, ratio_los = (np.empty((p, nb)) for _ in range(3))
         for start in range(0, p, _TILE_ROWS):
             rows = slice(start, start + _TILE_ROWS)
-            _tile_ratios(dev[rows], comps, params, lam, spike_in_los,
-                         logf[rows], ratio_d[rows], ratio_los[rows])
+            logf[rows], ratio_d[rows], ratio_los[rows] = _tile_ratios(
+                dev[rows], comps, params, lam)
 
         lo, hi = float(np.min(ratio_d)), float(np.max(ratio_d))
         if not (lo >= 0.0 and hi <= 1.0 + 1e-9):
@@ -454,19 +429,10 @@ def compute_dvalues(
 
 
 def local_fdr(z, params: MixtureParams) -> np.ndarray:
-    """Posterior probability of a nonpositive mean under independence
-    (unit noise variance, no factor conditioning). Vectorized over z."""
+    """Posterior probability of a nonpositive mean under independence (unit
+    noise variance, no factor conditioning), 0 where z has zero density.
+    Vectorized over z."""
     zv = np.asarray(z, dtype=float)
-    lp0w, lp1w, lp2w = (
-        _log_weight(params.pi0),
-        _log_weight(params.pi1),
-        _log_weight(params.pi2),
-    )
-    c0 = lp0w + _log_norm_pdf(zv, params.nu0, 1.0)
-    pdf1 = _log_norm_pdf(zv, params.nu1, params.tau1_sq + 1.0)
-    pdf2 = _log_norm_pdf(zv, params.nu2, params.tau2_sq + 1.0)
-    lg1 = lp1w + (pdf1 + _log_half_masses(zv, params.nu1, params.tau1_sq, 1.0)[0])
-    lg2 = lp2w + (pdf2 + _log_half_masses(zv, params.nu2, params.tau2_sq, 1.0)[0])
-    out = np.exp(_logsumexp3(c0, lg1, lg2) - _logsumexp3(c0, lp1w + pdf1, lp2w + pdf2))
-    out = np.minimum(out, 1.0)
+    out = _tile_ratios(zv.reshape(-1), _components(params, 1.0), params, 1.0)[1]
+    out = np.minimum(out, 1.0).reshape(zv.shape)
     return out if out.shape else float(out)

@@ -100,19 +100,12 @@ def _stepup_core(values: np.ndarray, theta: float) -> tuple[np.ndarray, int]:
     if feasible.size == 0:
         return order, 0
     k = int(feasible[-1]) + 1
-    # Include every unit tied with the boundary value, provided the running
-    # mean still passes; otherwise retreat to the largest cut that does not
-    # split a tie and still satisfies the constraint.
-    boundary = sorted_v[k - 1]
-    expanded = int(np.searchsorted(sorted_v, boundary, side="right"))
-    if expanded > k:
-        if running_mean[expanded - 1] <= theta:
-            k = expanded
-        else:
-            while k > 0 and k < p and sorted_v[k - 1] == sorted_v[k]:
-                k -= 1
-            while k > 0 and running_mean[k - 1] > theta:
-                k -= 1
+    # k - 1 is the last cut that passes, so a tie across it cannot be taken
+    # whole: retreat to the largest cut that splits no tie and still passes.
+    while 0 < k < p and sorted_v[k - 1] == sorted_v[k]:
+        k -= 1
+    while k > 0 and running_mean[k - 1] > theta:
+        k -= 1
     return order, k
 
 

@@ -9,20 +9,22 @@ per-replication substreams, so results do not depend on the worker count.
 
 Worker threads: `map_jobs` starts at most one process per job, up to the
 requested workers, and sets every OpenBLAS already loaded in each (NumPy's,
-and SciPy's once `scipy.special` is imported) to one thread. With one worker
+and SciPy's once `scipy.special` is imported) to one thread, and
+OPENBLAS_NUM_THREADS to 1 for any OpenBLAS loaded later. With one worker
 the jobs run in the calling process, also on one thread, and the caller's
-thread counts come back afterwards; the CLI sets its own process the same
-way when it starts. No BLAS call in the pipeline gets faster on two threads
-(the largest, the thin SVD of the dependence model at p=2000, T=240, takes
-longer), while a second thread spins beside every small call, and with as
-many processes as cores the threads of different processes spin against each
-other. The study's results are the same bits with one worker process or
-several.
+thread counts and OPENBLAS_NUM_THREADS come back afterwards; the CLI sets
+its own process the same way when it starts. No BLAS call in the pipeline
+gets faster on two threads (the largest, the thin SVD of the dependence
+model at p=2000, T=240, takes longer), while a second thread spins beside
+every small call, and with as many processes as cores the threads of
+different processes spin against each other. The study's results are the
+same bits with one worker process or several.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +39,7 @@ from .dvalues import compute_dvalues
 from .panel import (FACTOR_COLUMNS, MIN_WINDOW_MONTHS, FactorSeries, ReturnPanel,
                     _factor_regression, carhart_fit)
 from .selection import bh_select, select_fdr_stepup, storey_select
-from .streams import kahan_mean, substream
+from .streams import substream
 
 SPARSITY_WEIGHTS = {"s1": (0.1, 0.7, 0.2), "s2": (0.1, 0.2, 0.7)}
 DEPENDENCE_KINDS = ("d1", "d2", "d3")
@@ -346,7 +348,9 @@ def _openblas_thread_controls() -> list[tuple]:
 
 
 def _limit_blas_threads(threads: int) -> None:
-    """Run every loaded OpenBLAS on `threads` threads."""
+    """Run every loaded OpenBLAS on `threads` threads, and every one loaded
+    later too: OpenBLAS reads OPENBLAS_NUM_THREADS when it loads."""
+    os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
     for set_num_threads, _ in _openblas_thread_controls():
         set_num_threads(threads)
 
@@ -355,7 +359,8 @@ def map_jobs(fn, jobs: list, workers: int, catch: tuple = ()) -> list:
     """[fn(job) for job in jobs], run on min(workers, len(jobs)) processes,
     or in this process when that is at most one; `fn` and each job must
     pickle. Every job runs OpenBLAS on one thread: in this process, the
-    caller's thread counts come back when the jobs end, also on an error.
+    caller's thread counts and OPENBLAS_NUM_THREADS come back when the jobs
+    end, also on an error.
     An exception of a type in `catch` stands in for its job's result; any
     other propagates, the one of the earliest job first."""
     def outcome(call, *args):
@@ -368,12 +373,17 @@ def map_jobs(fn, jobs: list, workers: int, catch: tuple = ()) -> list:
     if processes <= 1:
         controls = _openblas_thread_controls()
         before = [get_num_threads() for _, get_num_threads in controls]
+        env_before = os.environ.get("OPENBLAS_NUM_THREADS")
         _limit_blas_threads(1)
         try:
             return [outcome(fn, job) for job in jobs]
         finally:
             for (set_num_threads, _), threads in zip(controls, before):
                 set_num_threads(threads)
+            if env_before is None:
+                os.environ.pop("OPENBLAS_NUM_THREADS", None)
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = env_before
     with ProcessPoolExecutor(max_workers=processes, initializer=_limit_blas_threads,
                              initargs=(1,)) as pool:
         futures = [pool.submit(fn, job) for job in jobs]
@@ -427,9 +437,9 @@ def run_sim_study(
         sel = [res[method]["selected"] for res in results]
         out[method] = SimMetrics(
             method=method,
-            mean_fdp=kahan_mean(fdp),
-            mean_fnp=kahan_mean(fnp),
-            mean_selected=kahan_mean(sel),
+            mean_fdp=math.fsum(fdp) / len(fdp),
+            mean_fnp=math.fsum(fnp) / len(fnp),
+            mean_selected=math.fsum(sel) / len(sel),
             fdp=fdp,
             fnp=fnp,
             selected=sel,

@@ -25,19 +25,3 @@ def substream(seed: int, *path) -> np.random.Generator:
     """Return the generator for substream `path` of `seed`."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_key_to_int(k) for k in path]
     return np.random.default_rng(entropy)
-
-
-def kahan_mean(values) -> float:
-    """Compensated mean so aggregation order cannot perturb low bits."""
-    total = 0.0
-    comp = 0.0
-    count = 0
-    for v in values:
-        count += 1
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if count == 0:
-        return 0.0
-    return total / count

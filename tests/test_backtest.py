@@ -43,7 +43,6 @@ def _holding_months(years):
         {"theta": 0.0},
         {"theta": 1.0},
         {"start_year": 2010, "end_year": 2009},
-        {"initial_value": 0.0},
         {"fallback": "hold-bonds"},
         {"fallback": "hold-index"},  # benchmark_csv missing
     ],

@@ -498,6 +498,28 @@ def test_cli_import_does_not_load_scipy_special():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_dvalues_run_leaves_every_openblas_on_one_thread(panel_files, tmp_path):
+    """SciPy's OpenBLAS loads with the first d-value, after the CLI has set its
+    process to one thread; it runs one thread too, whatever
+    OPENBLAS_NUM_THREADS the caller set."""
+    src = str(Path(fundselect.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import json, sys\n"
+            "from fundselect import cli, simlab\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, [get() for _, get in simlab._openblas_thread_controls()]]))")
+    argv = ["dvalues", "--returns", panel_files["returns"], "--factors", panel_files["factors"],
+            "--window", WINDOW, *GRID_FLAGS, "--mc-samples", "200", "--out", str(tmp_path / "dv")]
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                         capture_output=True, text=True)
+    code, threads = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    if not threads:
+        pytest.skip("no OpenBLAS loaded")
+    assert threads == [1] * len(threads)
+
+
 def test_workers_help_names_the_commands_that_use_it():
     parser, by_name = build_parser()
     for name, sub in by_name.items():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from fundselect.dependence import DependenceModel, dependence_from_correlation
@@ -119,6 +120,11 @@ def test_mass_component_far_below_zero():
     marginal = norm.pdf(z, loc=mu0 + shift, scale=math.sqrt(tau_sq + lam))
     assert abs(g / marginal - 1.0) < 1e-12
     assert component_mass_nonnegative(mu0, tau_sq, lam, shift, z) < 1e-300
+
+
+def test_mass_is_zero_where_z_has_zero_density():
+    assert component_mass_nonpositive(0.0, 0.5, 0.5, 0.0, 1e200) == 0.0
+    assert component_mass_nonnegative(0.0, 0.5, 0.5, 0.0, -1e200) == 0.0
 
 
 def test_mass_rejects_nonpositive_variances():
@@ -494,63 +500,82 @@ def test_dead_funds_fail_alike_for_every_tile_height(monkeypatch):
     assert len(messages) == 1
 
 
-def _log_domain_tile(dev, comps, params, lam, spike_in_los):
-    """Reference for the sampler's tile chain: every posterior mass in the log
-    domain, from the component logs and the log half masses. The masses are
-    taken relative to the largest component, so that no ratio is the exp of a
-    difference of two logs near -1000, which alone would cost ~1e-13."""
-    from fundselect import dvalues
+def _log_domain_reference(dev, params, lam):
+    """log f, P(mu <= 0 | dev) and P(mu >= 0 | dev) at noise variance `lam`,
+    with every density and mass in the log domain (norm.logpdf, log_ndtr,
+    np.logaddexp); ratios of 0 where f(dev) = 0. The masses are taken relative
+    to the largest component, so that no ratio is the exp of a difference of
+    two logs near -1000, which alone would cost ~1e-13."""
 
-    c0, c1, c2 = dvalues._component_logs(dev, comps)
-    logf = dvalues._logsumexp3(c0, c1, c2)
-    top = np.maximum(np.maximum(c0, c1), c2)
-    with np.errstate(invalid="ignore"):
+    def logsumexp3(a, b, c):
+        return np.logaddexp(np.logaddexp(a, b), c)
+
+    def log_halves(nu, tau_sq):
+        sig_sq = lam * tau_sq / (tau_sq + lam)
+        q = sig_sq * (dev / lam + nu / tau_sq) / math.sqrt(sig_sq)
+        return log_ndtr(-q), log_ndtr(q)
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c0, c1, c2 = (
+            np.log(pi) + norm.logpdf(dev, nu, math.sqrt(var))
+            for pi, nu, var in ((params.pi0, params.nu0, lam),
+                                (params.pi1, params.nu1, params.tau1_sq + lam),
+                                (params.pi2, params.nu2, params.tau2_sq + lam))
+        )
+        logf = logsumexp3(c0, c1, c2)
+        top = np.maximum(np.maximum(c0, c1), c2)
         r0, r1, r2 = c0 - top, c1 - top, c2 - top
-    neg1, pos1 = dvalues._log_half_masses(dev, params.nu1, params.tau1_sq, lam)
-    neg2, pos2 = dvalues._log_half_masses(dev, params.nu2, params.tau2_sq, lam)
-    r0_los = r0 if spike_in_los else np.full_like(r0, -np.inf)
-    with np.errstate(invalid="ignore"):
-        log_s = dvalues._logsumexp3(r0, r1, r2)
-        d = np.exp(dvalues._logsumexp3(r0, r1 + neg1, r2 + neg2) - log_s)
-        los = np.exp(dvalues._logsumexp3(r0_los, r1 + pos1, r2 + pos2) - log_s)
+        neg1, pos1 = log_halves(params.nu1, params.tau1_sq)
+        neg2, pos2 = log_halves(params.nu2, params.tau2_sq)
+        r0_los = r0 if params.nu0 == 0.0 else np.full_like(r0, -np.inf)
+        log_s = logsumexp3(r0, r1, r2)
+        d = np.exp(logsumexp3(r0, r1 + neg1, r2 + neg2) - log_s)
+        los = np.exp(logsumexp3(r0_los, r1 + pos1, r2 + pos2) - log_s)
     dead = ~np.isfinite(logf)
     d[dead] = 0.0
     los[dead] = 0.0
     return logf, d, los
 
 
-@pytest.mark.parametrize("params", [
+REFERENCE_PARAMS = [
     BASE,
     BASE_SPIKE_AT_ZERO,
     MixtureParams(pi0=0.3, pi1=0.7, pi2=0.0, nu0=-0.2, nu1=-0.4, nu2=0.8,
                   tau1_sq=0.05, tau2_sq=0.3),
     MixtureParams(pi0=0.2, pi1=0.0, pi2=0.8, nu0=0.0, nu1=-0.4, nu2=0.8,
                   tau1_sq=0.05, tau2_sq=0.3),
-], ids=["spike-below-zero", "spike-at-zero", "empty-upper-slab", "empty-lower-slab"])
+]
+REFERENCE_IDS = ["spike-below-zero", "spike-at-zero", "empty-upper-slab", "empty-lower-slab"]
+
+
+@pytest.mark.parametrize("params", REFERENCE_PARAMS, ids=REFERENCE_IDS)
 @pytest.mark.parametrize("lam", [0.02, 1.0])
 def test_tile_chain_matches_the_log_domain_reference(params, lam):
     """The linear posterior ratios agree with the log-domain reference to
-    1e-13 over deviations in [-40, 40], and log f is the same bits; rows of
-    zero density give ratios of 0."""
+    1e-13 over deviations in [-40, 40], and so does log f, relatively; rows of
+    zero density give log f = -inf and ratios of 0."""
     from fundselect import dvalues
 
     dev = np.linspace(-40.0, 40.0, 30 * 64).reshape(30, 64)
     dev[[4, 17]] = 1e200  # dead rows: zero density under every component
-    comps = tuple(
-        (dvalues._log_weight(pi), nu, var)
-        for pi, nu, var in ((params.pi0, params.nu0, lam),
-                            (params.pi1, params.nu1, params.tau1_sq + lam),
-                            (params.pi2, params.nu2, params.tau2_sq + lam))
-    )
-    spike_in_los = params.nu0 == 0.0
-    logf, d, los = (np.empty_like(dev) for _ in range(3))
-    dvalues._tile_ratios(dev, comps, params, lam, spike_in_los, logf, d, los)
-    ref_logf, ref_d, ref_los = _log_domain_tile(dev, comps, params, lam, spike_in_los)
-    np.testing.assert_array_equal(logf, ref_logf)
+    logf, d, los = dvalues._tile_ratios(dev, dvalues._components(params, lam), params, lam)
+    ref_logf, ref_d, ref_los = _log_domain_reference(dev, params, lam)
+    np.testing.assert_allclose(logf, ref_logf, rtol=1e-14, atol=1e-13)
     assert np.isneginf(logf[[4, 17]]).all() and np.isfinite(np.delete(logf, [4, 17], 0)).all()
     np.testing.assert_allclose(d, ref_d, rtol=0, atol=1e-13)
     np.testing.assert_allclose(los, ref_los, rtol=0, atol=1e-13)
     assert (d[[4, 17]] == 0.0).all() and (los[[4, 17]] == 0.0).all()
+
+
+@pytest.mark.parametrize("params", REFERENCE_PARAMS, ids=REFERENCE_IDS)
+def test_local_fdr_matches_the_log_domain_reference(params):
+    """local_fdr is the tile chain at unit noise: within 1e-13 of the
+    log-domain reference over z in [-40, 40], and 0 where z has zero density."""
+    z = np.linspace(-40.0, 40.0, 4001)
+    ref = np.minimum(_log_domain_reference(z, params, 1.0)[1], 1.0)
+    np.testing.assert_allclose(local_fdr(z, params), ref, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(local_fdr(np.array([1e200, -1e200]), params), 0.0)
+    assert local_fdr(1e200, params) == 0.0
 
 
 def test_dvalues_error_shrinks_at_root_n_rate():

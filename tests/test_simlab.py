@@ -303,11 +303,34 @@ def test_thread_controls_cover_every_loaded_openblas():
 
 
 def test_blas_limit_does_nothing_without_openblas(monkeypatch):
+    """Without a thread control the limit changes no loaded library; it still
+    sets OPENBLAS_NUM_THREADS for any OpenBLAS loaded later."""
     controls = simlab._openblas_thread_controls()
     before = [get() for _, get in controls]
     monkeypatch.setattr(simlab, "_openblas_thread_controls", lambda: [])
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # restored afterwards
     simlab._limit_blas_threads(max(before, default=1) + 1)
     assert [get() for _, get in controls] == before
+    assert os.environ["OPENBLAS_NUM_THREADS"] == str(max(before, default=1) + 1)
+
+
+def _blas_env(job):
+    return os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_in_process_jobs_restore_openblas_num_threads(monkeypatch, caller):
+    """In-process jobs see OPENBLAS_NUM_THREADS=1, and the caller's value, or
+    its absence, comes back afterwards, also when a job raises."""
+    if caller is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+    assert simlab.map_jobs(_blas_env, [0, 1], workers=1) == ["1", "1"]
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == caller
+    with pytest.raises(RuntimeError, match="job 0 failed"):
+        simlab.map_jobs(_failing_job, [0], workers=1)
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == caller
 
 
 def test_usable_cores_follow_the_affinity_mask(monkeypatch):
