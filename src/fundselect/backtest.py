@@ -49,7 +49,8 @@ class BacktestConfig:
 
 @dataclass
 class PortfolioTrack:
-    """Year-end portfolio values per strategy, plus what was held each year.
+    """Year-end portfolio values per strategy, plus what was held each year
+    and how each year's mixture fit went (`_year_holdings`).
 
     `annualized` is the geometric mean yearly return ``(last / first) **
     (1 / years) - 1``. A track that ends at or below zero has lost everything
@@ -60,6 +61,7 @@ class PortfolioTrack:
     values: dict[str, list[float]]  # strategy -> [initial, end-of-year-1, ...]
     selections: dict[str, dict[int, list[str]]]
     annualized: dict[str, float] = field(init=False, default_factory=dict)
+    fits: dict[int, dict] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.years)
@@ -105,9 +107,12 @@ def _month_return(
     return benchmark[month]
 
 
-def _year_holdings(job) -> dict[str, list[str]]:
+def _year_holdings(job) -> tuple[dict[str, list[str]], dict]:
     """Fund ids per strategy for one holding year: window -> `carhart_fit` ->
-    dependence -> fit -> d-values -> selections, seeded by (seed, year) alone."""
+    dependence -> fit -> d-values -> selections, seeded by (seed, year) alone;
+    and the year's fit record: its status (`fit`, or `refused` when no grid
+    point is feasible), the feasible and total grid points, and the winning
+    score (None when refused)."""
     by_fund, by_date, config, seed, year = job
     window = (f"{year - config.window_years}-01", f"{year - 1}-12")
     panel, factors, _log = assemble_window(by_fund, by_date, window)
@@ -115,16 +120,19 @@ def _year_holdings(job) -> dict[str, list[str]]:
     dep = build_dependence(estimates, panel)
     fit_seed = int(substream(seed, "backtest-fit", year).integers(2**63))
     try:
-        params, _diag = fit_mixture(
+        params, diag = fit_mixture(
             estimates.z, dep, grids=config.grids, seed=fit_seed
         )
-    except FitFailedError:
+    except FitFailedError as exc:
         # A window where no grid point admits a valid moment solution gives
         # no usable skill prior, so the posterior strategy has no evidence
         # to act on: it holds nothing that year and the fallback applies.
         # The p-value strategies need only the statistics and still run.
         dvalue_ids: list[str] = []
+        fit = {"status": "refused", "n_feasible": 0, "n_grid_points": len(exc.trace), "tv": None}
     else:
+        fit = {"status": "fit", "n_grid_points": len(diag.grid_trace),
+               "n_feasible": sum(1 for rec in diag.grid_trace if rec["feasible"]), "tv": diag.tv}
         dv_seed = int(substream(seed, "backtest-dv", year).integers(2**63))
         report = compute_dvalues(
             estimates.z, dep, params, n_samples=config.n_samples, seed=dv_seed
@@ -142,7 +150,7 @@ def _year_holdings(job) -> dict[str, list[str]]:
     }
     holdings["dvalue"] = dvalue_ids
     holdings["index"] = []
-    return holdings
+    return holdings, fit
 
 
 def run_backtest(
@@ -181,7 +189,9 @@ def run_backtest(
             raise DataError(f"factor series has no months in holding year {year}")
 
     jobs = [(by_fund, by_date, config, seed, year) for year in years]
-    for year, holdings in zip(years, map_jobs(_year_holdings, jobs, workers)):
+    fits = {}
+    for year, (holdings, fit) in zip(years, map_jobs(_year_holdings, jobs, workers)):
+        fits[year] = fit
         for name in tracks:
             fallback = "hold-index" if name == "index" else config.fallback
             selections[name][year] = holdings[name]
@@ -192,7 +202,7 @@ def run_backtest(
                 )
             values[name].append(value)
 
-    return PortfolioTrack(years=years, values=values, selections=selections)
+    return PortfolioTrack(years=years, values=values, selections=selections, fits=fits)
 
 
 def rank_compare(

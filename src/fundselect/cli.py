@@ -407,22 +407,26 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     return fund_ids, cols
 
 
+def _fit_surface(diag) -> dict:
+    """What the fit meta files say about the grid search: the grid size, the
+    feasible count, the winning score and the runner-up gap."""
+    return {
+        "n_grid_points": len(diag.grid_trace),
+        "n_feasible": sum(1 for rec in diag.grid_trace if rec["feasible"]),
+        "runner_up_gap": diag.runner_up_gap,
+        "tv": diag.tv,
+    }
+
+
 def _cmd_fit(args, ctx: _RunContext) -> None:
     panel, cleaning, estimates, dep, params, diag, _ = _run_pipeline(args, need_dvalues=False)
     ctx.write_json("cleaning.json", cleaning)
-    feasible = sum(1 for rec in diag.grid_trace if rec.get("feasible"))
     ctx.write_json(
         "mixture_params.json",
         {
             "dependence": _dependence_summary(dep, panel.n_months),
             "params": params.as_dict(),
-            "diagnostics": {
-                "m_pct": diag.m_pct,
-                "v_hat": diag.v_hat,
-                "tv": diag.tv,
-                "n_grid_points": len(diag.grid_trace),
-                "n_feasible": feasible,
-            },
+            "diagnostics": {"m_pct": diag.m_pct, "v_hat": diag.v_hat, **_fit_surface(diag)},
             "n_funds": len(estimates.fund_ids),
             "n_factors_rank": dep.rank,
         },
@@ -447,7 +451,7 @@ def _cmd_dvalues(args, ctx: _RunContext) -> None:
             "ess": report.ess,
             "n_samples": report.n_samples,
             "params": params.as_dict(),
-            "tv": diag.tv,
+            **_fit_surface(diag),
         },
     )
 
@@ -568,6 +572,7 @@ def _cmd_backtest(args, ctx: _RunContext) -> None:
         "backtest_selections.json",
         {
             "annualized": track.annualized,
+            "fits": {str(y): fit for y, fit in track.fits.items()},
             "selections": {
                 name: {str(y): funds for y, funds in sel.items()}
                 for name, sel in track.selections.items()

@@ -11,7 +11,8 @@ searches the grid (m, nu0, tau1_sq, tau2_sq) in three stages:
    funds the realized common factors are estimated by least absolute
    deviations of that subset on the factor loadings; for each (m, nu0) cell
    the de-factored, de-centered statistics give four pooled moments; one
-   stacked damped-Newton solve (`_solve_moment_batch`) inverts every cell's
+   stacked variable-projection solve (`_solve_moment_batch`: the weights in
+   closed form, Gauss-Newton on the two slab offsets) inverts every cell's
    moment system at every variance pair. The result is one flat table of
    candidate priors in lexical grid order, with a mask of the feasible ones.
 2. Scores (`_score_candidates`). Each feasible candidate is scored by the
@@ -42,17 +43,18 @@ _TV_DRAWS = 5  # simulations averaged into each candidate's score
 _SCORE_CHUNK = 16  # feasible grid points simulated and binned together
 _PI_SLACK = 1e-8
 _RESID_TOL = 1e-8
-_N_STARTS = 8  # Newton starts per variance pair (`_newton_starts`)
-# A live Newton row whose residual is still >= _RESID_TOL and has fallen by
+_PI_FLOOR = 1e-3  # a slab whose solved weight is nearer zero than this is dead
+_N_STARTS = 8  # offset starts per variance pair in each round (`_newton_starts`)
+# A live row whose residual is still >= _RESID_TOL and has fallen by
 # less than _STALL_DROP of itself over the last _STALL_WINDOW iterations stops.
 _STALL_WINDOW = 10
 _STALL_DROP = 1e-3
-_SOLVE_ROWS = 32768  # Newton rows (cell x variance pair x start) iterated together
-# Step lengths 2**-j, j < 30, tried per Newton step: 1 alone (most steps
-# take it), then the halvings four at a time.
-_STEP_LENGTHS = [np.ones(1)] + [
-    np.ldexp(1.0, -np.arange(j, min(j + 4, 30))) for j in range(1, 30, 4)
-]
+_SOLVE_ROWS = 8192  # rows (cell x variance pair x start) iterated together
+# Step lengths 2**-j, j < 30, tried in order per Gauss-Newton step: 1 alone
+# (most steps take it), then as many at once as keep a pass within
+# _TRIAL_CELLS (row, length) pairs.
+_STEP_LENGTHS = np.ldexp(1.0, -np.arange(30))
+_TRIAL_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -144,12 +146,15 @@ class GridConfig:
 @dataclass(eq=False)
 class FitDiagnostics:
     """What the grid search saw: winning subset size, factor estimate,
-    winning score, and one record per grid point."""
+    winning score, one record per grid point, and how far the second-best
+    score lies above the winning one (None with fewer than two feasible
+    points)."""
 
     m_pct: float
     v_hat: np.ndarray
     tv: float
     grid_trace: list[dict] = field(default_factory=list)
+    runner_up_gap: float | None = None
 
 
 def lad_regress(z_subset: np.ndarray, c_subset: np.ndarray) -> np.ndarray:
@@ -230,116 +235,99 @@ def forward_moments(
     return m1, m2, m3, m4
 
 
-def _residuals(x: np.ndarray, tau1, tau2, targets, eta_bar, eta4_bar) -> np.ndarray:
-    """Moment residuals of the points x (..., 4) = (pi1, pi2, u1, u2)."""
-    m1, m2, m3, m4 = forward_moments(
-        x[..., 0], x[..., 1], x[..., 2], x[..., 3], tau1, tau2, eta_bar, eta4_bar
-    )
-    return np.stack([m1, m2, m3, m4], axis=-1) - targets
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of the 4-vectors along the first axis, summed in order."""
+    return np.add.reduce(x * y, axis=0)
 
 
-def _jacobian(x: np.ndarray, tau1, tau2, eta_bar, eta4_bar) -> np.ndarray:
-    pi1, pi2, u1, u2 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    a1 = tau1 + eta_bar
-    a2 = tau2 + eta_bar
-    u1s = u1 * u1
-    u2s = u2 * u2
-    J = np.empty((x.shape[0], 4, 4))
-    J[:, 0, 0] = u1
-    J[:, 0, 1] = u2
-    J[:, 0, 2] = pi1
-    J[:, 0, 3] = pi2
-    J[:, 1, 0] = u1s + tau1
-    J[:, 1, 1] = u2s + tau2
-    J[:, 1, 2] = 2.0 * pi1 * u1
-    J[:, 1, 3] = 2.0 * pi2 * u2
-    J[:, 2, 0] = u1 * (u1s + 3.0 * a1)
-    J[:, 2, 1] = u2 * (u2s + 3.0 * a2)
-    J[:, 2, 2] = pi1 * (3.0 * u1s + 3.0 * a1)
-    J[:, 2, 3] = pi2 * (3.0 * u2s + 3.0 * a2)
-    J[:, 3, 0] = u1s * u1s + 6.0 * a1 * u1s + 3.0 * a1 * a1 - 3.0 * eta4_bar
-    J[:, 3, 1] = u2s * u2s + 6.0 * a2 * u2s + 3.0 * a2 * a2 - 3.0 * eta4_bar
-    J[:, 3, 2] = pi1 * (4.0 * u1s * u1 + 12.0 * a1 * u1)
-    J[:, 3, 3] = pi2 * (4.0 * u2s * u2 + 12.0 * a2 * u2)
-    return J
+def _lstsq2(a: np.ndarray, c: np.ndarray, y: np.ndarray):
+    """Least-squares solution (x1, x2) of [a c] x = y (4-vectors along the
+    first axis) through a Gram-Schmidt QR factor, c orthogonalized twice,
+    and the factor (q1, q2, r11, r12, r22); a rank-deficient row gives NaN."""
+    r11 = np.sqrt(_dot(a, a))
+    q1 = a / r11
+    r12 = _dot(q1, c)
+    w = c - r12 * q1
+    again = _dot(q1, w)
+    w -= again * q1
+    r12 += again
+    r22 = np.sqrt(_dot(w, w))
+    # what is left of c after the projection is rounding: rank-deficient
+    r22 = np.where(r22 > 1e-13 * np.abs(r12), r22, np.nan)
+    q2 = w / r22
+    x2 = _dot(q2, y) / r22
+    x1 = (_dot(q1, y) - r12 * x2) / r11
+    return x1, x2, (q1, q2, r11, r12, r22)
 
 
-def _newton_starts(targets: np.ndarray) -> np.ndarray:
-    """Eight deterministic starts built from sign/scale combinations of the
-    first moment and the square root of the second."""
+def _slab_column(u, tau, eta_bar: float, eta4_bar: float, slope: bool = False) -> np.ndarray:
+    """How a slab's weight enters the four moment equations at offset u --
+    its column of the linear system A(u) pi = b, along the first axis; with
+    slope=True the column's derivative in u instead."""
+    a = tau + eta_bar
+    us = u * u
+    col = np.empty((4,) + np.shape(us))
+    if slope:
+        col[0], col[1], col[2], col[3] = 1.0, 2.0 * u, 3.0 * us + 3.0 * a, 4.0 * us * u + 12.0 * a * u
+    else:
+        col[0], col[1], col[2] = u, us + tau, u * (us + 3.0 * a)
+        col[3] = us * us + 6.0 * a * us + 3.0 * a * a - 3.0 * eta4_bar
+    return col
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _project(u1, u2, t1, t2, b, eta_bar: float, eta4_bar: float, step=False):
+    """Variable projection at the offsets (u1, u2): the weights (pi1, pi2)
+    that fit A(u) pi = b best in the 2-norm (b with the moments along the
+    first axis) and the max-abs residual of A(u) pi - b. With step=True also
+    the Gauss-Newton step (s1, s2) in the offsets on that residual, through
+    the Golub-Pereyra Jacobian (the offsets move by minus the step). Silent
+    on rank-deficient rows, whose values are not finite."""
+    c1 = _slab_column(u1, t1, eta_bar, eta4_bar)
+    c2 = _slab_column(u2, t2, eta_bar, eta4_bar)
+    pi1, pi2, (q1, q2, r11, r12, r22) = _lstsq2(c1, c2, b)
+    R = pi1 * c1 + pi2 * c2 - b
+    rnorm = np.abs(R).max(axis=0)
+    if not step:
+        return pi1, pi2, rnorm
+    # d r / d u_c = pi_c P_perp d_c - (d_c . r) (A^+)' e_c, with d_c the
+    # derivative of column c and (A^+)' e_c = Q R^-T e_c from the factor.
+    d1 = _slab_column(u1, t1, eta_bar, eta4_bar, slope=True)
+    d2 = _slab_column(u2, t2, eta_bar, eta4_bar, slope=True)
+    h11, h21, h12, h22 = _dot(q1, d1), _dot(q2, d1), _dot(q1, d2), _dot(q2, d2)
+    g1, g2, ratio = _dot(d1, R) / r11, _dot(d2, R) / r22, r12 / r22
+    j1 = pi1 * (d1 - h11 * q1 - h21 * q2) - g1 * (q1 - ratio * q2)
+    j2 = pi2 * (d2 - h12 * q1 - h22 * q2) - g2 * q2
+    s1, s2, _ = _lstsq2(j1, j2, R)
+    return pi1, pi2, rnorm, s1, s2
+
+
+def _newton_starts(targets: np.ndarray, wide: bool = False) -> np.ndarray:
+    """`_N_STARTS` deterministic offset starts (u1, u2), one per row, built
+    from the first moment m1 and s, the square root of the second: the base
+    starts, or with wide=True the wide ones, which put one slab 2-5 s out in
+    either tail."""
     m1 = float(targets[0])
     s = np.sqrt(max(float(targets[1]), 1e-4))
-    u_starts = [
-        (m1 - s, m1 + s),
-        (m1 + s, m1 - s),
-        (-s, s),
-        (-2.0 * s, 2.0 * s),
-        (-0.5 * s, 0.5 * s),
-        (m1 - 2.0 * s, m1 + 0.5 * s),
-        (-0.5, 1.0),
-        (-1.0, 2.0),
-    ]
-    pi_starts = [
-        (0.3, 0.3),
-        (0.3, 0.3),
-        (0.3, 0.3),
-        (0.2, 0.2),
-        (0.45, 0.45),
-        (0.3, 0.3),
-        (0.1, 0.1),
-        (0.05, 0.05),
-    ]
-    out = np.empty((_N_STARTS, 4))
-    for i, ((u1, u2), (p1, p2)) in enumerate(zip(u_starts, pi_starts)):
-        if abs(u1 - u2) < 1e-3:
-            u2 = u1 + 1e-3
-        out[i] = (p1, p2, u1, u2)
+    if wide:
+        starts = [(m1, m1 + 3.0 * s), (m1 - 3.0 * s, m1), (m1, m1 + 5.0 * s),
+                  (m1 - 5.0 * s, m1), (-s, 4.0 * s), (-4.0 * s, s),
+                  (m1 + 2.0 * s, m1 + 5.0 * s), (m1 - 5.0 * s, m1 - 2.0 * s)]
+    else:
+        starts = [(m1 - s, m1 + s), (m1 + s, m1 - s), (-s, s), (-2.0 * s, 2.0 * s),
+                  (-0.5 * s, 0.5 * s), (m1 - 2.0 * s, m1 + 0.5 * s), (-0.5, 1.0), (-1.0, 2.0)]
+    out = np.array(starts)
+    close = np.abs(out[:, 0] - out[:, 1]) < 1e-3
+    out[close, 1] = out[close, 0] + 1e-3
     return out
 
 
-def _newton_steps(X: np.ndarray, R: np.ndarray, t1, t2, eta_bar: float, eta4_bar: float) -> np.ndarray:
-    """Ridged Gauss-Newton steps of the rows (X, R). np.linalg.solve refuses
-    a whole batch for one singular matrix, so after a refusal each row is
-    solved alone, as a batch of one: a refused row gets a zero step, every
-    other row the step the whole batch gives."""
-    J = _jacobian(X, t1, t2, eta_bar, eta4_bar)
-    G = np.einsum("nij,nik->njk", J, J)
-    ridge = 1e-12 * (1.0 + np.trace(G, axis1=1, axis2=2))
-    G[:, np.arange(4), np.arange(4)] += ridge[:, None]
-    g = np.einsum("nij,ni->nj", J, R)[..., None]
-    try:
-        return np.linalg.solve(G, g)[..., 0]
-    except np.linalg.LinAlgError:
-        pass
-    step = np.zeros(g.shape[:2])
-    for i in range(len(g)):
-        try:
-            step[i] = np.linalg.solve(G[i : i + 1], g[i : i + 1])[0, :, 0]
-        except np.linalg.LinAlgError:
-            pass
-    return step
-
-
-def _newton_cells(
-    targets: np.ndarray,
-    tau1_arr: np.ndarray,
-    tau2_arr: np.ndarray,
-    eta_bar: float,
-    eta4_bar: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The iteration of `_solve_moment_batch` for the cells of targets (k, 4)
-    together: the final X and max-abs residual of every row, rows in
-    (cell, variance pair, start) order. Each row carries its cell's target."""
-    k, n = targets.shape[0], tau1_arr.shape[0]
-    per_cell = n * _N_STARTS
-    starts = np.stack([_newton_starts(t) for t in targets])
-    X = np.repeat(starts[:, None], n, axis=1).reshape(k * per_cell, 4)
-    t1 = np.tile(np.repeat(tau1_arr, _N_STARTS), k)
-    t2 = np.tile(np.repeat(tau2_arr, _N_STARTS), k)
-    tgt = np.repeat(targets, per_cell, axis=0)
-
-    R = _residuals(X, t1, t2, tgt, eta_bar, eta4_bar)
-    rnorm = np.max(np.abs(R), axis=1)
+def _vp_rows(u1, u2, t1, t2, b, eta_bar: float, eta4_bar: float) -> np.ndarray:
+    """The iteration of `_solve_moment_batch` on independent rows: offsets
+    u1, u2, variances t1, t2 (all (N,)) and right-hand sides b (4, N).
+    Returns the final (pi1, pi2, u1, u2) of every row as (N, 4)."""
+    u1, u2 = u1.copy(), u2.copy()
+    pi1, pi2, rnorm = _project(u1, u2, t1, t2, b, eta_bar, eta4_bar)
     live = np.nonzero(~(rnorm < 1e-12))[0]
     # window[it % _STALL_WINDOW] holds every row's residual before iteration it
     window = np.empty((_STALL_WINDOW, rnorm.size))
@@ -347,27 +335,29 @@ def _newton_cells(
         if live.size == 0:
             break
         window[it % _STALL_WINDOW] = rnorm
-        step = _newton_steps(X[live], R[live], t1[live], t2[live], eta_bar, eta4_bar)
-        step = np.where(np.isfinite(step), step, 0.0)
-
-        X_live, rn_live = X[live], rnorm[live]
-        t1_live, t2_live, tgt_live = t1[live], t2[live], tgt[live]
+        u1_live, u2_live, rn_live = u1[live], u2[live], rnorm[live]
+        t1_live, t2_live, b_live = t1[live], t2[live], b[:, live]
+        s1, s2 = _project(u1_live, u2_live, t1_live, t2_live, b_live,
+                          eta_bar, eta4_bar, step=True)[3:]
+        fine = np.isfinite(s1) & np.isfinite(s2)
+        s1, s2 = np.where(fine, s1, 0.0), np.where(fine, s2, 0.0)
         accepted = np.zeros(live.size, dtype=bool)
         work = np.arange(live.size)
-        for alpha in _STEP_LENGTHS:
-            if work.size == 0:
-                break
-            # (rows, lengths, 4): every length of a row shares its taus and target
-            Xc = X_live[work, None] - alpha[:, None] * step[work, None]
-            Rc = _residuals(Xc, t1_live[work, None], t2_live[work, None],
-                            tgt_live[work, None], eta_bar, eta4_bar)
-            rc = np.max(np.abs(Rc), axis=2)
+        j = 0
+        while work.size and j < _STEP_LENGTHS.size:
+            alpha = _STEP_LENGTHS[j : j + (1 if j == 0 else max(_TRIAL_CELLS // work.size, 1))]
+            j += alpha.size
+            # (rows, lengths): every length of a row shares its taus and b
+            u1c = u1_live[work, None] - alpha * s1[work, None]
+            u2c = u2_live[work, None] - alpha * s2[work, None]
+            p1c, p2c, rc = _project(u1c, u2c, t1_live[work, None], t2_live[work, None],
+                                    b_live[:, work, None], eta_bar, eta4_bar)
             ok = (rc < rn_live[work, None]) & np.isfinite(rc)
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)[hit]  # the longest step that helps
             good = live[work[hit]]
-            X[good] = Xc[hit, first]
-            R[good] = Rc[hit, first]
+            u1[good], u2[good] = u1c[hit, first], u2c[hit, first]
+            pi1[good], pi2[good] = p1c[hit, first], p2c[hit, first]
             rnorm[good] = rc[hit, first]
             accepted[work[hit]] = True
             work = work[~hit]
@@ -376,7 +366,7 @@ def _newton_cells(
         if it >= _STALL_WINDOW - 1:
             now, before = rnorm[live], window[(it + 1) % _STALL_WINDOW, live]
             live = live[~((now >= _RESID_TOL) & (before - now < _STALL_DROP * before))]
-    return X, rnorm
+    return np.column_stack([pi1, pi2, u1, u2])
 
 
 def _solve_moment_batch(
@@ -386,65 +376,70 @@ def _solve_moment_batch(
     eta_bar: float,
     eta4_bar: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped multi-start Newton over (pi1, pi2, u1, u2) for many cells and
-    variance pairs.
+    """Multi-start variable-projection solve of the moment systems of many
+    cells and variance pairs.
 
     targets is (c, 4), one row of moment targets per cell; tau*_arr are
     (n,), the variance pairs every cell solves. Returns (feasible bool
-    (c, n), solutions (c, n, 4)); infeasible rows are NaN.
+    (c, n), solutions (c, n, 4) as (pi1, pi2, u1, u2)); infeasible rows are
+    NaN.
 
+    The weights enter the moments linearly, A(u) pi = b with b the targets
+    less the spike's own moments, so at fixed offsets u the best weights are
+    a 4x2 least-squares solve (`_project`, through a QR factor: the normal
+    equations lose the roots of heavy-tailed targets) and only u iterates.
     Every row (cell x variance pair x start) takes at most 60 Gauss-Newton
-    steps; a step is scaled by the first of 1, 1/2, ..., 2**-29 that lowers
-    the max-abs residual, the length repeated halving from 1 accepts. The
-    lengths are tried in a few blocks (`_STEP_LENGTHS`), one residual pass
-    per block. The cells are stacked into one iteration, at most
-    `_SOLVE_ROWS` rows at a time. Only live rows are worked on: a row leaves
-    the active set once it has converged (residual < 1e-12), once none of
-    the 30 lengths lowered its residual -- its X, and so its step and every
-    length, would repeat unchanged, so it is a fixed point -- or once it
-    creeps: its residual is still >= `_RESID_TOL` (not yet a root the fit
-    accepts) and has fallen by less than `_STALL_DROP` of itself over the
-    last `_STALL_WINDOW` iterations; it keeps its X and residual and its
-    system is not factored again. A creeping row could still converge, so
-    the rule can change a chosen root's last bits against running every row
-    for 60 iterations; rows below `_RESID_TOL` never stop early, so a root
-    that converges keeps its bits. A row whose 4x4 system LAPACK refuses as
-    singular gets a zero step (`_newton_steps`), so it stops like a fixed
-    point. Every operation acts row by row, so each row's result is
-    bit-identical to the full-batch iteration of its cell alone under the
-    same rules.
+    steps in u with the Golub-Pereyra Jacobian, each scaled by the first of
+    1, 1/2, ..., 2**-29 that lowers the max-abs residual (`_STEP_LENGTHS`).
+    A row stops once it has converged (residual < 1e-12), once no length
+    lowers its residual (a fixed point; a rank-deficient system, as at
+    tau1 = tau2 with u1 = u2, gives a zero step and so stops only its own
+    row), or once it creeps: its residual is still >= `_RESID_TOL` and fell
+    by less than `_STALL_DROP` of itself in the last `_STALL_WINDOW` steps.
+
+    Each pair runs the base starts of `_newton_starts`, and the wide ones
+    only if the base starts give no valid root. A slab whose weight ends
+    within `_PI_FLOOR` of zero is dropped: weight and offset 0, so no
+    arbitrary offset enters the table, and the rest must fit without it. A
+    root is valid when its max-abs moment residual (`forward_moments`) is
+    below `_RESID_TOL`, its offsets are ordered (u1 <= u2; the mirror root
+    lives at the transposed variance pair, which the symmetric grid also
+    visits) and its weights lie in [0, 1] within `_PI_SLACK`; the one with
+    the smallest residual wins, the earlier start on a tie. At most
+    `_SOLVE_ROWS` rows are stacked at a time, and every operation acts row
+    by row, so each result is bit-identical to the solve of its cell alone.
     """
     c, n = targets.shape[0], tau1_arr.shape[0]
-    feasible = np.zeros((c, n), dtype=bool)
-    chosen = np.full((c, n, 4), np.nan)
-    block = max(_SOLVE_ROWS // (n * _N_STARTS), 1)
-    for lo in range(0, c, block):
-        hi = min(lo + block, c)
-        X, rnorm = _newton_cells(targets[lo:hi], tau1_arr, tau2_arr, eta_bar, eta4_bar)
-        pi1, pi2 = X[:, 0], X[:, 1]
-        pi0 = 1.0 - pi1 - pi2
-        # Components are identified by ordering their offsets (u1 <= u2); the
-        # mirror root of an unordered solution lives at the transposed variance
-        # pair, which the symmetric grid also visits, so nothing is lost.
-        valid = (
-            np.all(np.isfinite(X), axis=1)
-            & (rnorm < _RESID_TOL)
-            & (X[:, 2] <= X[:, 3])
-            & (pi1 >= -_PI_SLACK)
-            & (pi1 <= 1.0 + _PI_SLACK)
-            & (pi2 >= -_PI_SLACK)
-            & (pi2 <= 1.0 + _PI_SLACK)
-            & (pi0 >= -_PI_SLACK)
-            & (pi0 <= 1.0 + _PI_SLACK)
-        )
-        pairs = (hi - lo) * n
-        rnorm_sel = np.where(valid, rnorm, np.inf).reshape(pairs, _N_STARTS)
-        best_start = np.argmin(rnorm_sel, axis=1)
-        ok = np.isfinite(rnorm_sel[np.arange(pairs), best_start])
-        sols = X.reshape(pairs, _N_STARTS, 4)[np.arange(pairs), best_start]
-        feasible[lo:hi] = ok.reshape(hi - lo, n)
-        chosen[lo:hi] = np.where(ok[:, None], sols, np.nan).reshape(hi - lo, n, 4)
-    return feasible, chosen
+    feasible = np.zeros(c * n, dtype=bool)
+    chosen = np.full((c * n, 4), np.nan)
+    b = (targets - np.array([0.0, eta_bar, 0.0, 3.0 * eta4_bar])).T
+    starts = [np.array([_newton_starts(t, wide) for t in targets]).reshape(c, _N_STARTS, 2)
+              for wide in (False, True)]
+    chunk = max(_SOLVE_ROWS // _N_STARTS, 1)
+    for lo in range(0, c * n, chunk):
+        todo = np.arange(lo, min(lo + chunk, c * n))  # flat (cell, variance pair) indices
+        for start in starts:
+            cell, pair = np.divmod(todo, n)
+            U = start[cell].reshape(-1, 2)
+            rows_cell = np.repeat(cell, _N_STARTS)
+            t1, t2 = np.repeat(tau1_arr[pair], _N_STARTS), np.repeat(tau2_arr[pair], _N_STARTS)
+            X = _vp_rows(U[:, 0], U[:, 1], t1, t2, b[:, rows_cell], eta_bar, eta4_bar)
+            dead = np.abs(X[:, :2]) < _PI_FLOOR
+            X[:, :2][dead] = 0.0
+            X[:, 2:][dead] = 0.0
+            with np.errstate(invalid="ignore", over="ignore"):
+                moments = np.column_stack(forward_moments(*X.T, t1, t2, eta_bar, eta4_bar))
+                rnorm = np.max(np.abs(moments - targets[rows_cell]), axis=1)
+            weights = np.column_stack([X[:, :2], 1.0 - X[:, 0] - X[:, 1]])
+            valid = (np.all(np.isfinite(X), axis=1) & (rnorm < _RESID_TOL) & (X[:, 2] <= X[:, 3])
+                     & np.all((weights >= -_PI_SLACK) & (weights <= 1.0 + _PI_SLACK), axis=1))
+            rnorm_sel = np.where(valid, rnorm, np.inf).reshape(todo.size, _N_STARTS)
+            best = np.argmin(rnorm_sel, axis=1)
+            ok = np.isfinite(rnorm_sel[np.arange(todo.size), best])
+            feasible[todo[ok]] = True
+            chosen[todo[ok]] = X.reshape(todo.size, _N_STARTS, 4)[np.arange(todo.size), best][ok]
+            todo = todo[~ok]
+    return feasible.reshape(c, n), chosen.reshape(c, n, 4)
 
 
 def solve_moments(
@@ -453,20 +448,19 @@ def solve_moments(
     """Invert the pooled moment system for one variance pair.
 
     Returns (pi0, pi1, pi2, u1, u2) where u's are the component offsets from
-    the spike, or None when no starting point converges to a valid solution.
-    Components are reported in offset order (u1 <= u2), the usual mixture
-    identifiability convention; the swapped labeling is the same model with
-    the variance pair transposed.
+    the spike, or None when no start, base or wide, ends at a valid root
+    (`_solve_moment_batch`): max-abs moment residual below 1e-8, weights in
+    [0, 1] and offsets in order, once a slab lighter than `_PI_FLOOR` has
+    been dropped (weight and offset 0). Components are reported in offset
+    order (u1 <= u2), the usual mixture identifiability convention; the
+    swapped labeling is the same model with the variance pair transposed.
     """
     if tau1_sq <= 0.0 or tau2_sq <= 0.0:
         raise DataError("component variances must be positive")
     targets = np.asarray([[mom.m1, mom.m2, mom.m3, mom.m4]], dtype=float)
     (feasible,), (sols,) = _solve_moment_batch(
-        targets,
-        np.asarray([tau1_sq], dtype=float),
-        np.asarray([tau2_sq], dtype=float),
-        mom.eta_sq_bar,
-        mom.eta_4_bar,
+        targets, np.asarray([tau1_sq], dtype=float), np.asarray([tau2_sq], dtype=float),
+        mom.eta_sq_bar, mom.eta_4_bar,
     )
     if not feasible[0]:
         return None
@@ -704,6 +698,8 @@ def fit_mixture(
         )
     best = int(np.argmin(np.where(feasible, scores, np.inf)))
     mi = best // (len(grids.nu0_grid) * len(grids.tau_grid) ** 2)
+    ranked = np.sort(scores[feasible])
+    gap = float(ranked[1] - ranked[0]) if ranked.size > 1 else None
     diagnostics = FitDiagnostics(m_pct=float(grids.m_grid[mi]), v_hat=v_hats[mi],
-                                 tv=trace[best]["tv"], grid_trace=trace)
+                                 tv=trace[best]["tv"], grid_trace=trace, runner_up_gap=gap)
     return MixtureParams(*rows[best].tolist()), diagnostics

@@ -413,6 +413,11 @@ def run_sim_study(
     """
     factors = synthetic_factors(setting.n_months, substream(setting.seed, "factors"))
     jobs = [(setting, r, grids, n_samples, factors) for r in range(setting.reps)]
+    if setting.theta > 0.0 and min(workers, len(jobs)) > 1:
+        # The d-values need scipy.special: imported here, before map_jobs
+        # forks, it is inherited by every worker, which then skips its own
+        # import. theta = 0 computes no d-values.
+        import scipy.special  # noqa: F401
     outcomes = map_jobs(_run_one_rep, jobs, workers, catch=_REP_FAILURES)
     results = [out for out in outcomes if not isinstance(out, Exception)]
     failures = [(r, str(out)) for r, out in enumerate(outcomes) if isinstance(out, Exception)]

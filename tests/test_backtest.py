@@ -251,6 +251,17 @@ def test_backtest_index_track_compounds_benchmark_exactly(planted_run):
     assert track_values[-1] != 1.0
 
 
+def test_backtest_records_each_years_fit(planted_run):
+    """Each holding year carries its fit record: the grid size, the feasible
+    count and the winning score of the fit that year's d-values came from."""
+    track, config = planted_run["track"], planted_run["config"]
+    assert sorted(track.fits) == track.years
+    for fit in track.fits.values():
+        assert fit["status"] == "fit"
+        assert 0 < fit["n_feasible"] <= fit["n_grid_points"] == config.grids.n_points
+        assert 0.0 < fit["tv"] <= 1.0
+
+
 def test_backtest_is_deterministic(planted_run):
     config = planted_run["config"]
     with warnings.catch_warnings():
@@ -323,7 +334,7 @@ def test_backtest_later_year_error_is_the_same_on_any_worker_count(planted_run, 
 
 def test_backtest_fit_failure_empties_posterior_book(planted_run, monkeypatch):
     def _always_fails(*args, **kwargs):
-        raise FitFailedError("no feasible grid point")
+        raise FitFailedError("no feasible grid point", trace=[{"feasible": False}] * 7)
 
     monkeypatch.setattr("fundselect.backtest.fit_mixture", _always_fails)
     config = BacktestConfig(
@@ -339,6 +350,8 @@ def test_backtest_fit_failure_empties_posterior_book(planted_run, monkeypatch):
     )
     assert track.selections["dvalue"][2005] == []
     assert track.values["dvalue"] == [1.0, 1.0]  # hold-cash all year
+    assert track.fits == {2005: {"status": "refused", "n_feasible": 0, "n_grid_points": 7,
+                                 "tv": None}}
     # the p-value strategies are unaffected by the posterior fit
     assert track.selections["bh"][2005] == planted_run["track"].selections["bh"][2005]
 

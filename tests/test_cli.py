@@ -97,6 +97,9 @@ def test_fit_writes_manifest_and_params(panel_files, tmp_path):
     assert pi["pi0"] + pi["pi1"] + pi["pi2"] == pytest.approx(1.0, abs=1e-9)
     assert params["n_funds"] == 60
     assert _manifest_line(out / "cleaning.json") == f"# manifest: {manifests[0]}"
+    diag = params["diagnostics"]
+    assert 2 <= diag["n_feasible"] <= diag["n_grid_points"]
+    assert diag["runner_up_gap"] >= 0.0 and 0.0 < diag["tv"] <= 1.0
 
     # the factor-rank rule for p = 60 funds over the window's T = 60 months
     dep = params["dependence"]
@@ -133,6 +136,12 @@ def test_dvalues_csv_format(panel_files, tmp_path):
         "l", "lambda_p", "marchenko_pastur_edge", "eigenvalues_head"
     }
     assert len(meta["dependence"]["eigenvalues_head"]) == meta["dependence"]["l"] + 1
+    # the same fit surface as `fit` writes into mixture_params.json
+    assert main(["fit", "--returns", panel_files["returns"], "--factors", panel_files["factors"],
+                 "--window", WINDOW, *GRID_FLAGS, "--seed", "3", "--out", str(tmp_path / "f")]) == 0
+    fit_diag = _read_output_json(tmp_path / "f" / "mixture_params.json")["diagnostics"]
+    for key in ("n_grid_points", "n_feasible", "runner_up_gap", "tv"):
+        assert meta[key] == fit_diag[key]
 
 
 def test_select_from_dvalue_file_matches_library(dvalue_csv, tmp_path):
@@ -188,6 +197,12 @@ def test_backtest_smoke(panel_files, tmp_path):
     sel = _read_output_json(out / "backtest_selections.json")
     assert set(sel["annualized"]) == {"dvalue", "bh", "storey"}
     assert sel["years"] == [2005]
+    assert set(sel["fits"]) == {"2005"}
+    fit = sel["fits"]["2005"]
+    assert set(fit) == {"status", "n_feasible", "n_grid_points", "tv"}
+    assert fit["status"] in ("fit", "refused")
+    assert 0 <= fit["n_feasible"] <= fit["n_grid_points"] == 2 * 3 * 8 * 8
+    assert (fit["status"] == "fit") == (fit["tv"] is not None) == (fit["n_feasible"] > 0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

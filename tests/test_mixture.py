@@ -17,14 +17,12 @@ from fundselect.mixture import (
     GridConfig,
     MixtureParams,
     PooledMoments,
-    _jacobian,
-    _newton_cells,
     _newton_starts,
-    _newton_steps,
-    _residuals,
+    _project,
     _simulate_rows,
     _solve_moment_batch,
     _tv_rows,
+    _vp_rows,
     fit_mixture,
     forward_moments,
     lad_regress,
@@ -207,6 +205,63 @@ def test_moment_roundtrip_random_tuples():
         assert sol is not None
         assert sol[3] <= sol[4], "components must come back in offset order"
         np.testing.assert_allclose(sol, [pi0, pi1, pi2, u1, u2], atol=1e-6)
+
+
+def test_moment_roundtrip_heavy_tail():
+    """A small slab far out in the right tail -- weight 0.01-0.05 at offset
+    4-8, the shape of the roots on weak-factor backtest windows -- is
+    recovered too."""
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        pi0 = rng.uniform(0.05, 0.3)
+        pi2 = rng.uniform(0.01, 0.05)
+        pi1 = 1 - pi0 - pi2
+        u1 = rng.uniform(-1.0, -0.5)
+        u2 = rng.uniform(4.0, 8.0)
+        t1, t2 = rng.uniform(0.05, 0.2, size=2)
+        eta = rng.uniform(0.3, 1.0)
+        eta4 = eta**2 * rng.uniform(1.0, 1.4)
+        m = forward_moments(pi1, pi2, u1, u2, t1, t2, eta, eta4)
+        mom = PooledMoments(m1=m[0], m2=m[1], m3=m[2], m4=m[3],
+                            eta_sq_bar=eta, eta_4_bar=eta4)
+        sol = solve_moments(mom, t1, t2)
+        assert sol is not None
+        np.testing.assert_allclose(sol, [pi0, pi1, pi2, u1, u2], atol=1e-6)
+
+
+def test_wide_starts_find_the_roots_the_base_starts_miss(monkeypatch):
+    """Moments of a spike-heavy window with a slab at 2.5 and a small one at
+    7, the shape of the roots on weak-factor backtest windows, have no root
+    the base starts reach; the wide round finds the generating one."""
+    m = forward_moments(0.25, 0.02, 2.5, 7.0, 0.2, 0.1, 0.95, 0.95)
+    mom = PooledMoments(*m, eta_sq_bar=0.95, eta_4_bar=0.95)
+    np.testing.assert_allclose(solve_moments(mom, 0.2, 0.1), [0.73, 0.25, 0.02, 2.5, 7.0],
+                               atol=1e-9)
+    base = mixture._newton_starts
+    monkeypatch.setattr(mixture, "_newton_starts", lambda targets, wide=False: base(targets))
+    assert solve_moments(mom, 0.2, 0.1) is None
+
+
+def test_dead_slab_carries_no_offset():
+    """A slab whose weight solves to within `_PI_FLOOR` of zero is dropped:
+    weight and offset 0. The pure spike solves to exactly (1, 0, 0, 0, 0);
+    a tiny slab far out is no root, since without it the moments do not
+    fit; and no candidate of the fits below keeps a slab lighter than the
+    floor."""
+    mom = PooledMoments(m1=0.0, m2=0.5, m3=0.0, m4=0.9, eta_sq_bar=0.5, eta_4_bar=0.3)
+    assert solve_moments(mom, 0.1, 0.1) == (1.0, 0.0, 0.0, 0.0, 0.0)
+    for pi2, u2 in ((3e-5, 13.8), (5e-4, 6.9)):
+        m = forward_moments(0.7, pi2, -0.5, u2, 0.1, 0.1, 0.5, 0.3)
+        assert solve_moments(PooledMoments(*m, eta_sq_bar=0.5, eta_4_bar=0.3), 0.1, 0.1) is None
+    for case in (_two_block_case(9), _spike_only_case(), _identity_case()):
+        z, dep, m_grid, nu0_grid = case
+        grids = GridConfig(m_grid=m_grid, nu0_grid=nu0_grid, tau_grid=_BIT_TAUS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, rows, feasible = mixture._grid_candidates(z, dep, grids)
+        weights, nu = rows[feasible, 1:3], rows[feasible, 3:6]
+        assert np.all((weights == 0.0) | (weights >= mixture._PI_FLOOR))
+        assert np.all((nu[:, 1:] == nu[:, :1])[weights == 0.0])
 
 
 def test_solve_moments_pure_spike():
@@ -405,94 +460,91 @@ def test_fit_input_validation(coarse_grids, identity_dep):
 
 # ---------------------------------------------- batched fit vs per-point loop
 #
-# The fit solves the moment systems of a cell with an active-set Newton
-# iteration and scores blocks of grid points in one simulation and binning
-# pass. The references below do the same arithmetic the plain way -- every
-# row that has not stalled on every Newton iteration, one simulate_z draw and
-# two np.histogram calls per score -- and the batched results must equal
-# them bit for bit.
+# The fit solves the moment systems of a cell with an active-set
+# variable-projection iteration and scores blocks of grid points in one
+# simulation and binning pass. The references below do the same arithmetic
+# the plain way -- every row that has not stalled on every iteration, one
+# step length at a time, each pair's starts picked from one by one, one
+# simulate_z draw and two np.histogram calls per score -- and the batched
+# results must equal them bit for bit.
 
 
-def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar, stall=True):
+def _ref_vp_rows(U, t1, t2, b, eta_bar, eta4_bar, stall=True):
     """Every row on every iteration. With stall=True a row whose residual
     is still >= 1e-8 and has fallen by less than 1e-3 of itself over the last
-    10 iterations is frozen: it takes no more steps and its system is not
-    factored again. When the solver refuses the batch, each row is solved
-    alone, and a row it refuses again takes a zero step."""
-    n = tau1_arr.shape[0]
-    n_start = 8
-    starts = _newton_starts(targets)
-    X = np.repeat(starts[None, :, :], n, axis=0).reshape(n * n_start, 4)
-    t1 = np.repeat(tau1_arr, n_start)
-    t2 = np.repeat(tau2_arr, n_start)
-    tgt = targets[None, :]
-
-    R = _residuals(X, t1, t2, tgt, eta_bar, eta4_bar)
-    rnorm = np.max(np.abs(R), axis=1)
+    10 iterations is frozen: it takes no more steps. A non-finite step is a
+    zero step."""
+    u1, u2 = U[:, 0].copy(), U[:, 1].copy()
+    pi1, pi2, rnorm = _project(u1, u2, t1, t2, b, eta_bar, eta4_bar)
     history = [rnorm]
-    frozen = np.zeros(n * n_start, dtype=bool)
+    frozen = np.zeros(u1.size, dtype=bool)
     for _ in range(60):
         if np.all(rnorm < 1e-12):
             break
-        J = _jacobian(X, t1, t2, eta_bar, eta4_bar)
-        G = np.einsum("nij,nik->njk", J, J)
-        ridge = 1e-12 * (1.0 + np.trace(G, axis1=1, axis2=2))
-        G[:, np.arange(4), np.arange(4)] += ridge[:, None]
-        g = np.einsum("nij,ni->nj", J, R)
-        step = np.zeros_like(g)
-        try:
-            step[~frozen] = np.linalg.solve(G[~frozen], g[~frozen][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for i in np.flatnonzero(~frozen):
-                try:
-                    step[i] = np.linalg.solve(G[i:i + 1], g[i:i + 1, :, None])[0, :, 0]
-                except np.linalg.LinAlgError:
-                    pass
-        step = np.where(np.isfinite(step), step, 0.0)
+        s1, s2 = _project(u1, u2, t1, t2, b, eta_bar, eta4_bar, step=True)[3:]
+        bad = ~(np.isfinite(s1) & np.isfinite(s2))
+        s1[bad] = 0.0
+        s2[bad] = 0.0
 
-        alpha = np.ones(n * n_start)
+        alpha = np.ones(u1.size)
         accepted = (rnorm < 1e-12) | frozen
-        X_next = X.copy()
-        R_next = R.copy()
-        rn_next = rnorm.copy()
+        nxt = [v.copy() for v in (u1, u2, pi1, pi2, rnorm)]
         for _bt in range(30):
             work = ~accepted
             if not np.any(work):
                 break
-            Xc = X[work] - alpha[work, None] * step[work]
-            Rc = _residuals(Xc, t1[work], t2[work], tgt, eta_bar, eta4_bar)
-            rc = np.max(np.abs(Rc), axis=1)
-            ok = rc < rnorm[work]
-            ok = np.where(np.isfinite(rc), ok, False)
+            u1c = u1[work] - alpha[work] * s1[work]
+            u2c = u2[work] - alpha[work] * s2[work]
+            p1c, p2c, rc = _project(u1c, u2c, t1[work], t2[work], b[:, work], eta_bar, eta4_bar)
+            ok = (rc < rnorm[work]) & np.isfinite(rc)
             idx = np.nonzero(work)[0]
             good = idx[ok]
-            X_next[good] = Xc[ok]
-            R_next[good] = Rc[ok]
-            rn_next[good] = rc[ok]
+            for dst, src in zip(nxt, (u1c, u2c, p1c, p2c, rc)):
+                dst[good] = src[ok]
             accepted[good] = True
             alpha[idx[~ok]] *= 0.5
-        X, R, rnorm = X_next, R_next, rn_next
+        u1, u2, pi1, pi2, rnorm = nxt
         history.append(rnorm)
         if stall and len(history) > 10:
             before = history[-11]
             frozen |= (rnorm >= 1e-8) & (before - rnorm < 1e-3 * before)
+    return np.column_stack([pi1, pi2, u1, u2])
 
-    pi1, pi2 = X[:, 0], X[:, 1]
-    pi0 = 1.0 - pi1 - pi2
-    slack = 1e-8
-    valid = (
-        np.all(np.isfinite(X), axis=1)
-        & (rnorm < 1e-8)
-        & (X[:, 2] <= X[:, 3])
-        & (pi1 >= -slack) & (pi1 <= 1.0 + slack)
-        & (pi2 >= -slack) & (pi2 <= 1.0 + slack)
-        & (pi0 >= -slack) & (pi0 <= 1.0 + slack)
-    )
-    rnorm_sel = np.where(valid, rnorm, np.inf).reshape(n, n_start)
-    best_start = np.argmin(rnorm_sel, axis=1)
-    feasible = np.isfinite(rnorm_sel[np.arange(n), best_start])
-    chosen = X.reshape(n, n_start, 4)[np.arange(n), best_start]
-    chosen = np.where(feasible[:, None], chosen, np.nan)
+
+def _ref_solve_moment_batch(targets, tau1_arr, tau2_arr, eta_bar, eta4_bar, stall=True):
+    """One cell: the base starts for every pair, the wide starts for the
+    pairs they leave without a valid root; within a pair, the valid root
+    with the smallest residual, the earlier start on a tie. A slab whose
+    weight ends within `_PI_FLOOR` of zero gets weight and offset 0 first."""
+    n = tau1_arr.shape[0]
+    b = targets - np.array([0.0, eta_bar, 0.0, 3.0 * eta4_bar])
+    feasible = np.zeros(n, dtype=bool)
+    chosen = np.full((n, 4), np.nan)
+    for wide in (False, True):
+        todo = np.flatnonzero(~feasible)
+        starts = _newton_starts(targets, wide)
+        k = len(starts)
+        X = _ref_vp_rows(np.tile(starts, (todo.size, 1)), np.repeat(tau1_arr[todo], k),
+                         np.repeat(tau2_arr[todo], k),
+                         np.repeat(b[:, None], todo.size * k, axis=1), eta_bar, eta4_bar, stall)
+        for i, pair in enumerate(todo.tolist()):
+            best = None
+            for x in X[i * k:(i + 1) * k]:
+                x = x.copy()
+                for c in (0, 1):
+                    if abs(x[c]) < mixture._PI_FLOOR:
+                        x[c] = x[c + 2] = 0.0
+                with np.errstate(invalid="ignore", over="ignore"):
+                    r = np.max(np.abs(np.array(forward_moments(
+                        *x, tau1_arr[pair], tau2_arr[pair], eta_bar, eta4_bar)) - targets))
+                weights = (x[0], x[1], 1.0 - x[0] - x[1])
+                if (np.all(np.isfinite(x)) and r < 1e-8 and x[2] <= x[3]
+                        and all(-1e-8 <= w <= 1.0 + 1e-8 for w in weights)
+                        and (best is None or r < best[0])):
+                    best = (r, x)
+            if best is not None:
+                feasible[pair] = True
+                chosen[pair] = best[1]
     return feasible, chosen
 
 
@@ -714,6 +766,22 @@ def test_tied_scores_go_to_the_first_feasible_point(monkeypatch):
     assert diag.tv == 0.0
 
 
+def test_runner_up_gap_is_second_best_minus_best(monkeypatch):
+    """The fit reports how far the second-best feasible score lies above the
+    winning one, and None when only one point is feasible."""
+    z, dep, m_grid, nu0_grid = _identity_case()
+    grids = GridConfig(m_grid=m_grid, nu0_grid=nu0_grid, tau_grid=_BIT_TAUS)
+    _, diag = fit_mixture(z, dep, grids, seed=5)
+    scores = sorted(r["tv"] for r in diag.grid_trace if r["feasible"])
+    assert diag.tv == scores[0] and diag.runner_up_gap == scores[1] - scores[0]
+
+    v_hats, rows, feasible = mixture._grid_candidates(z, dep, grids)
+    only = np.zeros_like(feasible)
+    only[np.argmax(feasible)] = True
+    monkeypatch.setattr(mixture, "_grid_candidates", lambda *args: (v_hats, rows, only))
+    assert fit_mixture(z, dep, grids, seed=5)[1].runner_up_gap is None
+
+
 def _moment_targets():
     """Twelve moment-target vectors (targets, eta_bar, eta4_bar): population
     moments of separated mixtures, the pure-spike and dead-component cases,
@@ -776,20 +844,24 @@ def _panel_targets(kind):
 def test_stall_rule_keeps_feasibility_and_moves_roots_only_in_last_bits():
     """Stopping the rows that creep changes no feasibility and moves no
     chosen root by more than 1e-9, on the moment targets above and on cells
-    of d1, d2 and d3 panels; on some of them it does move a root."""
+    of d1, d2 and d3 panels; on some of them it does stop rows early."""
     taus = np.asarray(GridConfig().tau_grid[::3])
     tau1 = np.repeat(taus, taus.size)
     tau2 = np.tile(taus, taus.size)
     cases = _moment_targets() + [c for kind in ("d1", "d2", "d3") for c in _panel_targets(kind)]
-    moved = 0
+    stopped = 0
     for targets, eta, eta4 in cases:
         feasible, sols = _ref_solve_moment_batch(targets, tau1, tau2, eta, eta4)
         full_feasible, full_sols = _ref_solve_moment_batch(
             targets, tau1, tau2, eta, eta4, stall=False)
         np.testing.assert_array_equal(feasible, full_feasible)
         np.testing.assert_allclose(sols[feasible], full_sols[feasible], rtol=0, atol=1e-9)
-        moved += not np.array_equal(sols, full_sols, equal_nan=True)
-    assert moved > 0
+        rows = (np.tile(_newton_starts(targets), (tau1.size, 1)), np.repeat(tau1, 8),
+                np.repeat(tau2, 8), np.repeat(
+                    (targets - np.array([0.0, eta, 0.0, 3.0 * eta4]))[:, None], 8 * tau1.size, axis=1))
+        stopped += not np.array_equal(_ref_vp_rows(*rows, eta, eta4),
+                                      _ref_vp_rows(*rows, eta, eta4, stall=False), equal_nan=True)
+    assert stopped > 0
 
 
 _STACK_ETA = (0.5, 0.3)  # (eta_bar, eta4_bar) shared by the stacked cells
@@ -797,9 +869,9 @@ _STACK_ETA = (0.5, 0.3)  # (eta_bar, eta4_bar) shared by the stacked cells
 
 def _stacked_cells():
     """Moment targets of four cells that share (eta_bar, eta4_bar), and the
-    variance pairs they solve: a separated mixture, the pure spike, a target
-    with no feasible row, and a wide mixture some of whose rows stop because
-    no step length lowers their residual."""
+    variance pairs they solve: a separated mixture some of whose rows stop
+    because no step length lowers their residual, the pure spike, a target
+    with no feasible row, and a wide mixture."""
     eta, eta4 = _STACK_ETA
     targets = np.stack([
         forward_moments(0.6, 0.25, -0.6, 1.2, 0.1, 0.15, eta, eta4),
@@ -811,29 +883,40 @@ def _stacked_cells():
     return targets, np.repeat(taus, taus.size), np.tile(taus, taus.size)
 
 
-def _stalled_rows(targets, tau1, tau2):
-    """Number of rows of the cell's solve that end unconverged at a point
-    where none of the 30 step lengths lowers the residual."""
+def _base_rows(targets, tau1, tau2):
+    """The base-start rows of one cell of `_stacked_cells`: offsets,
+    variances and right-hand sides, as `_vp_rows` takes them."""
     eta, eta4 = _STACK_ETA
-    X, rnorm = _newton_cells(targets[None], tau1, tau2, eta, eta4)
-    t1, t2 = np.repeat(tau1, 8), np.repeat(tau2, 8)
+    U = np.tile(_newton_starts(targets), (tau1.size, 1))
+    b = targets - np.array([0.0, eta, 0.0, 3.0 * eta4])
+    return U, np.repeat(tau1, 8), np.repeat(tau2, 8), np.repeat(b[:, None], len(U), axis=1)
+
+
+def _stalled_rows(targets, tau1, tau2):
+    """Number of base rows of the cell's solve that end unconverged at a
+    point where none of the 30 step lengths lowers the residual."""
+    eta, eta4 = _STACK_ETA
+    U, t1, t2, b = _base_rows(targets, tau1, tau2)
+    X = _vp_rows(U[:, 0], U[:, 1], t1, t2, b, eta, eta4)
+    _, _, rnorm, s1, s2 = _project(X[:, 2], X[:, 3], t1, t2, b, eta, eta4, step=True)
     live = rnorm >= 1e-12
-    step = _newton_steps(X[live], _residuals(X[live], t1[live], t2[live], targets, eta, eta4),
-                         t1[live], t2[live], eta, eta4)
-    step = np.where(np.isfinite(step), step, 0.0)
-    stalled = np.ones(len(step), dtype=bool)
+    s1 = np.where(np.isfinite(s1), s1, 0.0)[live]
+    s2 = np.where(np.isfinite(s2), s2, 0.0)[live]
+    stalled = np.ones(int(live.sum()), dtype=bool)
     for j in range(30):
-        Xc = X[live] - 0.5**j * step
-        rc = np.max(np.abs(_residuals(Xc, t1[live], t2[live], targets, eta, eta4)), axis=1)
+        rc = _project(X[live, 2] - 0.5**j * s1, X[live, 3] - 0.5**j * s2,
+                      t1[live], t2[live], b[:, live], eta, eta4)[2]
         stalled &= ~(rc < rnorm[live])
     return int(stalled.sum())
 
 
-@pytest.mark.parametrize("solve_rows", [None, 1300, 1], ids=["one-block", "two-cells", "per-cell"])
+@pytest.mark.parametrize("solve_rows", [None, 1300, 648, 8],
+                         ids=["one-block", "two-cells", "per-cell", "per-pair"])
 def test_stacked_newton_matches_each_cell_alone(monkeypatch, solve_rows):
     """One stacked solve over four cells equals, cell by cell and bit for
-    bit, the full-batch iteration of each cell alone, however many cells a
-    block of `_SOLVE_ROWS` holds."""
+    bit, the plain iteration of each cell alone, whether a block of
+    `_SOLVE_ROWS` rows holds all four cells, parts of two, exactly one (81
+    pairs of 8 starts) or one variance pair."""
     if solve_rows is not None:
         monkeypatch.setattr(mixture, "_SOLVE_ROWS", solve_rows)
     targets, tau1, tau2 = _stacked_cells()
@@ -845,50 +928,62 @@ def test_stacked_newton_matches_each_cell_alone(monkeypatch, solve_rows):
         assert np.array_equal(sols[cell], ref_sols, equal_nan=True)
 
     # every step length 1, 1/2, ..., 2**-29 is tried, in order
-    assert np.concatenate(mixture._STEP_LENGTHS).tolist() == [0.5**j for j in range(30)]
+    assert mixture._STEP_LENGTHS.tolist() == [0.5**j for j in range(30)]
     # the cells cover what their docstring says
     counts = feasible.sum(axis=1).tolist()
     assert counts[0] > 0 and counts[1] == tau1.size and counts[2] == 0 and counts[3] > 0
-    assert _stalled_rows(targets[0], tau1, tau2) == 0
-    assert _stalled_rows(targets[3], tau1, tau2) > 0
+    assert _stalled_rows(targets[0], tau1, tau2) > 0
 
 
-def test_singular_system_stops_only_its_own_row(monkeypatch):
-    """A solver that refuses every batch holding a system with an entry above
-    1e12 (as LAPACK refuses an exactly singular one) stops the rows whose
-    systems hold such an entry where they are; all of them are rows of the
-    wide cell. Every other row, the wide cell's included, equals the clean
-    iteration bit for bit, and the stacked solve equals each cell solved
-    alone under the same solver."""
+def test_singular_system_stops_only_its_own_row():
+    """A row whose weight matrix is rank-deficient -- tau1 = tau2 and
+    u1 = u2 give two equal columns -- gets non-finite weights and keeps its
+    offsets, and never becomes a root; the rows stacked around it equal,
+    bit for bit, their solve without it."""
+    eta, eta4 = _STACK_ETA
     targets, tau1, tau2 = _stacked_cells()
-    clean_X, clean_rnorm = _newton_cells(targets, tau1, tau2, *_STACK_ETA)
-    real_solve = np.linalg.solve
+    U, t1, t2, b = _base_rows(targets[0], tau1, tau2)
+    clean = _vp_rows(U[:, 0], U[:, 1], t1, t2, b, eta, eta4)
+    k = 37
+    U = np.insert(U, k, [0.4, 0.4], axis=0)
+    t1, t2 = np.insert(t1, k, 0.1), np.insert(t2, k, 0.1)
+    b = np.insert(b, k, b[:, 0], axis=1)
+    X = _vp_rows(U[:, 0], U[:, 1], t1, t2, b, eta, eta4)
+    assert not np.isfinite(X[k, :2]).any()
+    assert X[k, 2:].tolist() == [0.4, 0.4]
+    np.testing.assert_array_equal(np.delete(X, k, axis=0), clean)
 
-    def refusing_solve(a, b):
-        if np.abs(a).max() > 1e12:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real_solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", refusing_solve)
-    X, rnorm = _newton_cells(targets, tau1, tau2, *_STACK_ETA)
-    t1, t2 = np.tile(np.repeat(tau1, 8), 4), np.tile(np.repeat(tau2, 8), 4)
-    J = _jacobian(X, t1, t2, *_STACK_ETA)
-    big = np.abs(np.einsum("nij,nik->njk", J, J)).max(axis=(1, 2)) > 1e12
-    cell = np.repeat(np.arange(4), tau1.size * 8)
-    assert big.any() and (cell[big] == 3).all() and (~big & (cell == 3)).any()
-    np.testing.assert_array_equal(X[~big], clean_X[~big])
-    np.testing.assert_array_equal(rnorm[~big], clean_rnorm[~big])
-    # a refused row keeps its point: its step is zero, and the clean
-    # iteration, which factors it, moves some such row on
-    R = _residuals(X[big], t1[big], t2[big], targets[3], *_STACK_ETA)
-    assert not _newton_steps(X[big], R, t1[big], t2[big], *_STACK_ETA).any()
-    assert not np.array_equal(X[big], clean_X[big])
+def test_projected_step_is_gauss_newton_on_the_residual():
+    """The Golub-Pereyra step equals the Gauss-Newton step on a central
+    finite-difference Jacobian of the projected residual, and the weights
+    are the least-squares solution of the 4x2 system."""
+    eta, eta4 = 0.5, 0.3
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        u = rng.normal(size=2)
+        t1, t2 = rng.uniform(0.05, 0.3, size=2)
+        b = rng.normal(size=4)
 
-    feasible, sols = _solve_moment_batch(targets, tau1, tau2, *_STACK_ETA)
-    for c, t in enumerate(targets):
-        ref_feasible, ref_sols = _ref_solve_moment_batch(t, tau1, tau2, *_STACK_ETA)
-        np.testing.assert_array_equal(feasible[c], ref_feasible)
-        assert np.array_equal(sols[c], ref_sols, equal_nan=True)
+        def residual(u1, u2):
+            pi1, pi2, _ = _project(u1, u2, t1, t2, b, eta, eta4)
+            return np.array(forward_moments(pi1, pi2, u1, u2, t1, t2, eta, eta4)) - (
+                b + np.array([0.0, eta, 0.0, 3.0 * eta4]))
+
+        pi1, pi2, rnorm, s1, s2 = _project(u[0], u[1], t1, t2, b, eta, eta4, step=True)
+        r = residual(*u)
+        assert rnorm == pytest.approx(np.max(np.abs(r)), rel=1e-9, abs=1e-12)
+        h = 1e-6
+        J = np.column_stack([(residual(*(u + h * e)) - residual(*(u - h * e))) / (2 * h)
+                             for e in np.eye(2)])
+        np.testing.assert_allclose([s1, s2], np.linalg.lstsq(J, r, rcond=None)[0],
+                                   rtol=1e-5, atol=1e-7)
+        A = np.empty((4, 2))
+        for c, (uc, tc) in enumerate(((u[0], t1), (u[1], t2))):
+            one = np.array(forward_moments(1.0, 0.0, uc, 0.0, tc, 1.0, eta, eta4))
+            A[:, c] = one - np.array([0.0, eta, 0.0, 3.0 * eta4])
+        np.testing.assert_allclose([pi1, pi2], np.linalg.lstsq(A, b, rcond=None)[0],
+                                   rtol=1e-9, atol=1e-12)
 
 
 def test_batched_simulation_matches_four_draw_reference():

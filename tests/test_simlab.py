@@ -3,6 +3,7 @@
 import argparse
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -255,6 +256,26 @@ def test_pool_workers_run_one_blas_thread(monkeypatch, workers, reps, processes)
     assert sizes == ([] if processes is None else [processes])
     assert out["dvalue"].selected == [1] * reps
     assert [get() for _, get in controls] == before
+
+
+def _rep_reporting_scipy_special(args):
+    """A canned replication whose selection count is 1 when the process that
+    ran it had scipy.special loaded before the replication started."""
+    out = _canned_rep(args[1])
+    out["dvalue"]["selected"] = int("scipy.special" in sys.modules)
+    return out
+
+
+@pytest.mark.parametrize("workers, theta, loaded", [(2, 0.1, 1), (1, 0.1, 0), (2, 0.0, 0)],
+                         ids=["pool", "in-process", "no-dvalues"])
+def test_forked_workers_inherit_scipy_special(monkeypatch, workers, theta, loaded):
+    """With more than one worker and d-values to compute (theta > 0), the
+    study imports scipy.special before the pool forks, so every worker finds
+    it loaded; otherwise it imports nothing."""
+    monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
+    monkeypatch.setattr(simlab, "_run_one_rep", _rep_reporting_scipy_special)
+    setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=theta, reps=2, seed=2)
+    assert run_sim_study(setting, workers=workers)["dvalue"].selected == [loaded] * 2
 
 
 def _blas_threads(job):
