@@ -9,7 +9,7 @@ import numpy as np
 from .dependence import build_dependence
 from .dvalues import compute_dvalues
 from .errors import ConfigError, DataError, FitFailedError
-from .mixture import GridConfig, fit_mixture
+from .mixture import FitDiagnostics, GridConfig, fit_mixture
 from .panel import (_parse_factors_csv, _parse_monthly_csv, _parse_returns_csv,
                     assemble_window, carhart_fit)
 from .selection import bh_select, select_fdr_stepup, storey_select
@@ -111,8 +111,7 @@ def _year_holdings(job) -> tuple[dict[str, list[str]], dict]:
     """Fund ids per strategy for one holding year: window -> `carhart_fit` ->
     dependence -> fit -> d-values -> selections, seeded by (seed, year) alone;
     and the year's fit record: its status (`fit`, or `refused` when no grid
-    point is feasible), the feasible and total grid points, and the winning
-    score (None when refused)."""
+    point is feasible) and the fit surface (`FitDiagnostics.surface`)."""
     by_fund, by_date, config, seed, year = job
     window = (f"{year - config.window_years}-01", f"{year - 1}-12")
     panel, factors, _log = assemble_window(by_fund, by_date, window)
@@ -129,10 +128,9 @@ def _year_holdings(job) -> tuple[dict[str, list[str]], dict]:
         # to act on: it holds nothing that year and the fallback applies.
         # The p-value strategies need only the statistics and still run.
         dvalue_ids: list[str] = []
-        fit = {"status": "refused", "n_feasible": 0, "n_grid_points": len(exc.trace), "tv": None}
+        fit = {"status": "refused", **FitDiagnostics.refused_surface(exc.trace)}
     else:
-        fit = {"status": "fit", "n_grid_points": len(diag.grid_trace),
-               "n_feasible": sum(1 for rec in diag.grid_trace if rec["feasible"]), "tv": diag.tv}
+        fit = {"status": "fit", **diag.surface()}
         dv_seed = int(substream(seed, "backtest-dv", year).integers(2**63))
         report = compute_dvalues(
             estimates.z, dep, params, n_samples=config.n_samples, seed=dv_seed

@@ -5,7 +5,8 @@ Every run hashes its mathematical configuration (everything except --out,
 output file names that manifest on its first line, and rerunning with the
 same manifest reproduces the bytes below that line exactly. Outputs are
 written only once the command has succeeded, the manifest last, so a command
-that fails leaves no file.
+that fails leaves no file; a write that fails part-way removes the files it
+wrote and is a config error.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -285,12 +287,28 @@ class _RunContext:
     def save(self) -> None:
         """Write the rendered outputs under --out, creating it, and then the
         manifest. Handlers only render, so a command that fails writes
-        nothing, not even --out."""
-        os.makedirs(self.out_dir, exist_ok=True)
+        nothing, not even --out. A write that fails part-way (a full disk,
+        an --out under a regular file) removes the files it wrote and the
+        directories it made, and raises ConfigError."""
+        made, parent = [], os.path.abspath(self.out_dir)
+        while not os.path.exists(parent):
+            made.append(parent)
+            parent = os.path.dirname(parent)
+        written = []
         manifest = json.dumps(self.manifest, sort_keys=True, indent=2)
-        for name, text in [*self.outputs.items(), (self.manifest_name, f"{manifest}\n")]:
-            with open(os.path.join(self.out_dir, name), "w", newline="\n") as fh:
-                fh.write(text)
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+            for name, text in [*self.outputs.items(), (self.manifest_name, f"{manifest}\n")]:
+                with open(os.path.join(self.out_dir, name), "w", newline="\n") as fh:
+                    written.append(fh.name)
+                    fh.write(text)
+        except OSError as exc:
+            with contextlib.suppress(OSError):  # leave what cannot go; report the write
+                for path in written:
+                    os.remove(path)
+                for directory in filter(os.path.isdir, made):
+                    os.rmdir(directory)
+            raise ConfigError(f"cannot write the outputs under {self.out_dir}: {exc}") from None
 
 
 def _fmt(x) -> str:
@@ -407,17 +425,6 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     return fund_ids, cols
 
 
-def _fit_surface(diag) -> dict:
-    """What the fit meta files say about the grid search: the grid size, the
-    feasible count, the winning score and the runner-up gap."""
-    return {
-        "n_grid_points": len(diag.grid_trace),
-        "n_feasible": sum(1 for rec in diag.grid_trace if rec["feasible"]),
-        "runner_up_gap": diag.runner_up_gap,
-        "tv": diag.tv,
-    }
-
-
 def _cmd_fit(args, ctx: _RunContext) -> None:
     panel, cleaning, estimates, dep, params, diag, _ = _run_pipeline(args, need_dvalues=False)
     ctx.write_json("cleaning.json", cleaning)
@@ -426,7 +433,7 @@ def _cmd_fit(args, ctx: _RunContext) -> None:
         {
             "dependence": _dependence_summary(dep, panel.n_months),
             "params": params.as_dict(),
-            "diagnostics": {"m_pct": diag.m_pct, "v_hat": diag.v_hat, **_fit_surface(diag)},
+            "diagnostics": {"m_pct": diag.m_pct, "v_hat": diag.v_hat, **diag.surface()},
             "n_funds": len(estimates.fund_ids),
             "n_factors_rank": dep.rank,
         },
@@ -451,7 +458,7 @@ def _cmd_dvalues(args, ctx: _RunContext) -> None:
             "ess": report.ess,
             "n_samples": report.n_samples,
             "params": params.as_dict(),
-            **_fit_surface(diag),
+            **diag.surface(),
         },
     )
 

@@ -16,21 +16,20 @@ searches the grid (m, nu0, tau1_sq, tau2_sq) in three stages:
    moment system at every variance pair. The result is one flat table of
    candidate priors in lexical grid order, with a mask of the feasible ones.
 2. Scores (`_score_candidates`). Each feasible candidate is scored by the
-   mean histogram total-variation distance between the data and `_TV_DRAWS`
-   simulations from the candidate model, drawn from the candidate's own
-   substream of the seed; candidates are simulated and binned in blocks of
-   `_SCORE_CHUNK`, and each score equals, bit for bit, the score of the same
-   candidate computed alone with `simulate_z` and `total_variation`.
-3. Choice. The smallest score wins; ties go to the earlier grid point.
+   composite likelihood of the de-factored statistics h = z - C v_hat: the
+   mean negative log-likelihood under sum_c pi_c N(nu_c, tau_c + eta_i^2),
+   tau_0 = 0, the law whose pooled moments the candidate solves.
+3. Choice. The smallest score wins; ties go to the earlier grid point. Only
+   the winner is simulated, for its `tv` diagnostic.
 
-A fixed seed and grids give the same fit.
+Fixed grids give the same fit whatever the seed, which moves only `tv`.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from .errors import ConfigError, DataError, FitFailedError
 from .streams import substream
 
 TV_BIN_WIDTH = 0.1
-_TV_DRAWS = 5  # simulations averaged into each candidate's score
-_SCORE_CHUNK = 16  # feasible grid points simulated and binned together
+_TV_DRAWS = 5  # simulations averaged into the winner's `tv` diagnostic
 _PI_SLACK = 1e-8
 _RESID_TOL = 1e-8
 _PI_FLOOR = 1e-3  # a slab whose solved weight is nearer zero than this is dead
@@ -92,19 +90,10 @@ class MixtureParams:
         """
         u = rng.random(p)
         normals = rng.standard_normal(p)
-        return _mixture_means(np.array([astuple(self)]), u[None], normals[None])[0]
-
-
-def _mixture_means(rows: np.ndarray, u: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Standardized alphas from uniforms and normals, both (k, p): row j
-    draws under the parameters rows[j], MixtureParams' fields in order. A
-    uniform picks the component (spike below pi0, then slab 1 below
-    pi0 + pi1, else slab 2); a slab value is its mean plus its standard
-    deviation times the normal."""
-    pi0, pi1, _, nu0, nu1, nu2, tau1_sq, tau2_sq = rows.T[:, :, None]
-    first = u < pi0 + pi1
-    slab = np.where(first, nu1, nu2) + np.where(first, np.sqrt(tau1_sq), np.sqrt(tau2_sq)) * normals
-    return np.where(u < pi0, nu0, slab)
+        first = u < self.pi0 + self.pi1
+        slab = (np.where(first, self.nu1, self.nu2)
+                + np.where(first, np.sqrt(self.tau1_sq), np.sqrt(self.tau2_sq)) * normals)
+        return np.where(u < self.pi0, self.nu0, slab)
 
 
 @dataclass(frozen=True)
@@ -146,15 +135,29 @@ class GridConfig:
 @dataclass(eq=False)
 class FitDiagnostics:
     """What the grid search saw: winning subset size, factor estimate,
-    winning score, one record per grid point, and how far the second-best
-    score lies above the winning one (None with fewer than two feasible
-    points)."""
+    winning score, the winner's simulated TV, one record per grid point,
+    and how far the second-best score lies above the winning one (None with
+    fewer than two feasible points)."""
 
     m_pct: float
     v_hat: np.ndarray
+    score: float
     tv: float
     grid_trace: list[dict] = field(default_factory=list)
     runner_up_gap: float | None = None
+
+    def surface(self) -> dict:
+        """The fit record the output files write: the grid size, the feasible
+        count, the winning score, the runner-up gap and the winner's TV."""
+        return {"n_grid_points": len(self.grid_trace),
+                "n_feasible": sum(rec["feasible"] for rec in self.grid_trace),
+                "score": self.score, "runner_up_gap": self.runner_up_gap, "tv": self.tv}
+
+    @staticmethod
+    def refused_surface(trace: list[dict]) -> dict:
+        """The record of a fit refused with this trace: nothing feasible, no winner."""
+        return {"n_grid_points": len(trace), "n_feasible": 0,
+                "score": None, "runner_up_gap": None, "tv": None}
 
 
 def lad_regress(z_subset: np.ndarray, c_subset: np.ndarray) -> np.ndarray:
@@ -475,18 +478,6 @@ def _clip_weights(pi12: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _simulate_rows(rows: np.ndarray, dep: DependenceModel, u: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Statistic vectors from uniforms u (k, p) and standard normals
-    (k, 2p + rank), row j under rows[j]: each normals row holds the
-    component normals, the common-factor vector and the idiosyncratic vector."""
-    p, rank = dep.p, dep.rank
-    mu = _mixture_means(rows, u, normals[:, :p])
-    # One matrix-vector product per row: a single (k, rank) x (rank, p)
-    # product sums in another order and changes the last bits.
-    common = np.stack([dep.B @ w for w in normals[:, p : p + rank]])
-    return mu + common + np.sqrt(dep.lambda_p) * normals[:, p + rank :]
-
-
 def simulate_z(params: MixtureParams, dep: DependenceModel, seed) -> np.ndarray:
     """One draw of the statistic vector under the fitted prior and dependence.
 
@@ -495,63 +486,9 @@ def simulate_z(params: MixtureParams, dep: DependenceModel, seed) -> np.ndarray:
     common-factor vector, the idiosyncratic vector.
     """
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "simulate_z")
-    p = dep.p
-    u = rng.random(p)
-    normals = rng.standard_normal(2 * p + dep.rank)
-    return _simulate_rows(np.array([astuple(params)]), dep, u[None], normals[None])[0]
-
-
-def _bin_counts(x: np.ndarray, lo: np.ndarray, n_bins: np.ndarray) -> np.ndarray:
-    """Row j of the result is ``np.histogram(x[j], edges)[0]`` with edges
-    ``lo[j] + TV_BIN_WIDTH * arange(n_bins[j] + 1)``, zero-padded to the
-    largest bin count. A value falls in the bin of the last edge at or below
-    it, except that the last bin also holds its right edge; values past it
-    are dropped. Requires x >= lo row by row."""
-    lo = lo[:, None]
-    n = n_bins[:, None]
-    j = np.clip(np.floor((x - lo) / TV_BIN_WIDTH), 0, n)
-    # The estimate can be one bin off where rounding puts a value next to an
-    # edge; compare against the edges themselves until none is misplaced.
-    while np.any(down := (j > 0) & (lo + TV_BIN_WIDTH * j > x)):
-        j -= down
-    while np.any(up := (j < n) & (lo + TV_BIN_WIDTH * (j + 1) <= x)):
-        j += up
-    keep = (j < n) | (x == lo + TV_BIN_WIDTH * n)
-    width = int(n_bins.max())
-    flat = np.arange(x.shape[0])[:, None] * width + np.minimum(j, n - 1).astype(np.int64)
-    counts = np.bincount(flat[keep], minlength=x.shape[0] * width)
-    return counts.reshape(x.shape[0], width)
-
-
-def _sorted_bin_counts(a_sorted: np.ndarray, lo: np.ndarray, n_bins: np.ndarray) -> np.ndarray:
-    """`_bin_counts` of the one sorted sample a_sorted against every row's
-    edges, found by bisection as np.histogram finds them: bin k holds the
-    values from edge k up to, not including, edge k + 1, and the last bin
-    also its right edge. Columns past a row's own bins are zero."""
-    rows = np.arange(lo.size)
-    edges = lo[:, None] + TV_BIN_WIDTH * np.arange(int(n_bins.max()) + 1)
-    below = np.searchsorted(a_sorted, edges, side="left")
-    below[rows, n_bins] = np.searchsorted(a_sorted, edges[rows, n_bins], side="right")
-    counts = np.diff(below, axis=1)
-    counts[np.arange(counts.shape[1]) >= n_bins[:, None]] = 0
-    return counts
-
-
-def _tv_rows(a_sorted: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``total_variation(a_sorted, b[j])`` for every row of the 2-d b, in
-    one pass; a_sorted must be sorted."""
-    lo = np.minimum(a_sorted[0], b.min(axis=1))
-    hi = np.maximum(a_sorted[-1], b.max(axis=1))
-    n_bins = np.maximum(np.ceil((hi - lo) / TV_BIN_WIDTH).astype(np.int64), 1)
-    pa = _sorted_bin_counts(a_sorted, lo, n_bins)
-    pb = _bin_counts(b, lo, n_bins)
-    diff = np.abs(pa / a_sorted.size - pb / b.shape[1])
-    total = np.empty(b.shape[0])
-    # Sum each row over exactly its own bins, as the 1-d sum would.
-    for n in np.unique(n_bins).tolist():
-        rows = n_bins == n
-        total[rows] = diff[rows, :n].sum(axis=1)
-    return np.minimum(0.5 * total, 1.0)
+    mu = params.draw_means(rng, dep.p)
+    common = dep.B @ rng.standard_normal(dep.rank)
+    return mu + common + np.sqrt(dep.lambda_p) * rng.standard_normal(dep.p)
 
 
 def total_variation(z: np.ndarray, z_sim: np.ndarray) -> float:
@@ -563,27 +500,12 @@ def total_variation(z: np.ndarray, z_sim: np.ndarray) -> float:
         raise DataError("total_variation needs nonempty samples")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DataError("total_variation needs finite samples")
-    return float(_tv_rows(np.sort(a), b[None])[0])
-
-
-def _score_points(z_sorted: np.ndarray, dep: DependenceModel, rows: np.ndarray, rngs) -> np.ndarray:
-    """Score of each candidate: the mean of `_TV_DRAWS` values of
-    ``total_variation(z, simulate_z(MixtureParams(*rows[j]), dep, rngs[j]))``,
-    drawn in turn from the candidate's own generator and summed in order;
-    z_sorted is ``np.sort(z)``."""
-    n_sim = len(rows) * _TV_DRAWS
-    u = np.empty((n_sim, dep.p))
-    normals = np.empty((n_sim, 2 * dep.p + dep.rank))
-    for i in range(n_sim):
-        rng = rngs[i // _TV_DRAWS]
-        rng.random(out=u[i])
-        rng.standard_normal(out=normals[i])
-    z_sim = _simulate_rows(np.repeat(rows, _TV_DRAWS, axis=0), dep, u, normals)
-    tv = _tv_rows(z_sorted, z_sim).reshape(len(rows), _TV_DRAWS)
-    score = np.zeros(len(rows))
-    for d in range(_TV_DRAWS):
-        score += tv[:, d]
-    return score / _TV_DRAWS
+    lo = min(a.min(), b.min())
+    n_bins = max(int(np.ceil((max(a.max(), b.max()) - lo) / TV_BIN_WIDTH)), 1)
+    edges = lo + TV_BIN_WIDTH * np.arange(n_bins + 1)
+    pa = np.histogram(a, bins=edges)[0] / a.size
+    pb = np.histogram(b, bins=edges)[0] / b.size
+    return float(min(0.5 * np.abs(pa - pb).sum(), 1.0))
 
 
 def _grid_candidates(
@@ -644,19 +566,27 @@ def _grid_candidates(
     return v_hats, rows, feasible.ravel()
 
 
-def _score_candidates(
-    z: np.ndarray, dep: DependenceModel, rows: np.ndarray, feasible: np.ndarray, seed
-) -> np.ndarray:
-    """The score of each candidate row, NaN where it is infeasible. Row i
-    draws from substream (seed, "fit_tv", i); the feasible rows are scored
-    in blocks of `_SCORE_CHUNK`, which may span cells."""
-    z_sorted = np.sort(z)
+@np.errstate(divide="ignore", invalid="ignore")
+def _score_candidates(z: np.ndarray, dep: DependenceModel, v_hats: list[np.ndarray],
+                      rows: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """The score of each candidate row (module docstring, stage 2), NaN
+    where it is infeasible. The spike, a point mass, has no density where
+    eta_i^2 = 0. Rows are scored one at a time: a (rows, p) block per m
+    would double the fit's peak memory."""
+    eta_sq = dep.eta_sq
+    hs = [z - dep.C @ v_hat for v_hat in v_hats]
+    per_m = len(rows) // len(hs)
     scores = np.full(len(rows), np.nan)
-    order = np.flatnonzero(feasible)
-    for start in range(0, order.size, _SCORE_CHUNK):
-        chunk = order[start : start + _SCORE_CHUNK]
-        rngs = [substream(seed, "fit_tv", i) for i in chunk.tolist()]
-        scores[chunk] = _score_points(z_sorted, dep, rows[chunk], rngs)
+    for j in np.flatnonzero(feasible).tolist():
+        pi0, pi1, pi2, nu0, nu1, nu2, t1, t2 = rows[j].tolist()
+        h = hs[j // per_m]
+        logs = [np.log(pi) - 0.5 * (np.log(2.0 * np.pi * var) + (h - nu) ** 2 / var)
+                for pi, nu, var in ((pi0, nu0, eta_sq), (pi1, nu1, t1 + eta_sq),
+                                    (pi2, nu2, t2 + eta_sq))]
+        logs[0][eta_sq == 0.0] = -np.inf
+        top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
+        top[top == -np.inf] = 0.0  # no component has density here: log f = -inf
+        scores[j] = -np.mean(np.log(sum(np.exp(c - top) for c in logs)) + top)
     return scores
 
 
@@ -671,10 +601,11 @@ def fit_mixture(
     Builds every grid point's candidate (`_grid_candidates`), scores the
     feasible ones (`_score_candidates`) and keeps the smallest score, ties
     going to the earlier point in lexical order (m, nu0, tau1_sq, tau2_sq).
-    The trace records every grid point in that order. Deterministic for a
-    fixed seed and grids: a point's simulations depend only on (seed, its
-    lexical index). Raises FitFailedError, with the trace, when no point is
-    feasible.
+    The trace records every grid point's `score` in that order. The winner
+    and the trace do not depend on `seed`: it drives only `diag.tv`, the
+    mean TV of the data against `_TV_DRAWS` `simulate_z` draws of the winner
+    from substream (seed, "fit_tv"). Raises FitFailedError, with the trace,
+    when no point is feasible.
     """
     z = np.asarray(z, dtype=float)
     if z.size < 50:
@@ -685,21 +616,25 @@ def fit_mixture(
         grids = GridConfig()
 
     v_hats, rows, feasible = _grid_candidates(z, dep, grids)
-    scores = _score_candidates(z, dep, rows, feasible, seed)
+    scores = _score_candidates(z, dep, v_hats, rows, feasible)
     points = itertools.product(grids.m_grid, grids.nu0_grid, grids.tau_grid, grids.tau_grid)
     trace = [
         {"m": m, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2, "feasible": ok,
-         "tv": tv if ok else None}
-        for (m, nu0, t1, t2), ok, tv in zip(points, feasible.tolist(), scores.tolist())
+         "score": score if ok else None}
+        for (m, nu0, t1, t2), ok, score in zip(points, feasible.tolist(), scores.tolist())
     ]
     if not feasible.any():
         raise FitFailedError(
             f"no feasible grid point among {len(trace)} candidates", trace=trace
         )
-    best = int(np.argmin(np.where(feasible, scores, np.inf)))
+    best = int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))
     mi = best // (len(grids.nu0_grid) * len(grids.tau_grid) ** 2)
     ranked = np.sort(scores[feasible])
     gap = float(ranked[1] - ranked[0]) if ranked.size > 1 else None
+    winner = MixtureParams(*rows[best].tolist())
+    rng = substream(seed, "fit_tv")
+    tv = sum(total_variation(z, simulate_z(winner, dep, rng)) for _ in range(_TV_DRAWS)) / _TV_DRAWS
     diagnostics = FitDiagnostics(m_pct=float(grids.m_grid[mi]), v_hat=v_hats[mi],
-                                 tv=trace[best]["tv"], grid_trace=trace, runner_up_gap=gap)
-    return MixtureParams(*rows[best].tolist()), diagnostics
+                                 score=float(scores[best]), tv=tv, grid_trace=trace,
+                                 runner_up_gap=gap)
+    return winner, diagnostics

@@ -98,8 +98,11 @@ def test_fit_writes_manifest_and_params(panel_files, tmp_path):
     assert params["n_funds"] == 60
     assert _manifest_line(out / "cleaning.json") == f"# manifest: {manifests[0]}"
     diag = params["diagnostics"]
+    assert set(diag) == {"m_pct", "v_hat", "n_grid_points", "n_feasible", "score",
+                         "runner_up_gap", "tv"}
     assert 2 <= diag["n_feasible"] <= diag["n_grid_points"]
-    assert diag["runner_up_gap"] >= 0.0 and 0.0 < diag["tv"] <= 1.0
+    assert np.isfinite(diag["score"]) and diag["runner_up_gap"] >= 0.0
+    assert 0.0 < diag["tv"] <= 1.0
 
     # the factor-rank rule for p = 60 funds over the window's T = 60 months
     dep = params["dependence"]
@@ -140,7 +143,7 @@ def test_dvalues_csv_format(panel_files, tmp_path):
     assert main(["fit", "--returns", panel_files["returns"], "--factors", panel_files["factors"],
                  "--window", WINDOW, *GRID_FLAGS, "--seed", "3", "--out", str(tmp_path / "f")]) == 0
     fit_diag = _read_output_json(tmp_path / "f" / "mixture_params.json")["diagnostics"]
-    for key in ("n_grid_points", "n_feasible", "runner_up_gap", "tv"):
+    for key in ("n_grid_points", "n_feasible", "score", "runner_up_gap", "tv"):
         assert meta[key] == fit_diag[key]
 
 
@@ -199,10 +202,11 @@ def test_backtest_smoke(panel_files, tmp_path):
     assert sel["years"] == [2005]
     assert set(sel["fits"]) == {"2005"}
     fit = sel["fits"]["2005"]
-    assert set(fit) == {"status", "n_feasible", "n_grid_points", "tv"}
+    assert set(fit) == {"status", "n_feasible", "n_grid_points", "score", "runner_up_gap", "tv"}
     assert fit["status"] in ("fit", "refused")
     assert 0 <= fit["n_feasible"] <= fit["n_grid_points"] == 2 * 3 * 8 * 8
-    assert (fit["status"] == "fit") == (fit["tv"] is not None) == (fit["n_feasible"] > 0)
+    assert ((fit["status"] == "fit") == (fit["score"] is not None) == (fit["tv"] is not None)
+            == (fit["n_feasible"] > 0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -501,6 +505,42 @@ def test_failure_after_the_first_output_leaves_no_files(panel_files, tmp_path, m
     assert code == 3
     assert "[data-error] injected failure" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_failed_write_removes_what_it_wrote(dvalue_csv, tmp_path, monkeypatch, capsys):
+    """A write that fails part-way -- here the second file opened for
+    writing -- removes the file it wrote and the --out it made, keeps an
+    --out that was there before, and exits 2; so does an --out under a
+    regular file."""
+    import builtins
+
+    real_open = builtins.open
+
+    def open_failing_second_write(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            writes.append(file)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device", file)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("fundselect.cli.open", open_failing_second_write, raising=False)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "other.txt").write_text("x")
+    for out in (tmp_path / "new" / "sel", kept):
+        writes = []
+        assert main(["select", "--dvalues", dvalue_csv, "--theta", "0.3", "--out", str(out)]) == 2
+        assert "[config-error] cannot write the outputs" in capsys.readouterr().err
+        assert len(writes) == 2
+    assert not (tmp_path / "new").exists()
+    assert [p.name for p in kept.iterdir()] == ["other.txt"]
+
+    monkeypatch.undo()
+    afile = tmp_path / "afile"
+    afile.write_text("y")
+    assert main(["select", "--dvalues", dvalue_csv, "--out", str(afile / "sub")]) == 2
+    assert "[config-error] cannot write the outputs" in capsys.readouterr().err
+    assert afile.read_text() == "y"
 
 
 def test_cli_import_does_not_load_scipy_special():

@@ -418,3 +418,22 @@ def test_study_counts_a_crashed_fit_as_a_failed_replication(monkeypatch, error):
     with pytest.raises(DataError, match="2/2 replications failed; first failure "
                                         + re.escape(f"(rep 0): {error}")):
         run_sim_study(setting, n_samples=100)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_d2_study_controls_fdp_and_beats_the_baselines():
+    """Criterion 7's study on the d2 design (ten factors over a 0.8^|i-j|
+    base, where residual cross-fund dependence is largest): at p = 500 with
+    20 reps per sparsity and criterion 7's grids, mean FDP lies in
+    [0.04, 0.16] and mean FNP is strictly below BH's and Storey's."""
+    grids = GridConfig(m_grid=(20.0, 30.0, 40.0), nu0_grid=STUDY_GRIDS.nu0_grid,
+                       tau_grid=STUDY_GRIDS.tau_grid)
+    for i, sparsity in enumerate(("s1", "s2")):
+        setting = SimSetting(p=500, sparsity=sparsity, dependence="d2", theta=0.1, reps=20,
+                             seed=20260107 + i)
+        res = run_sim_study(setting, grids=grids, n_samples=2000, workers=2)
+        ours, bh, storey = res["dvalue"], res["bh"], res["storey"]
+        summary = (f"{sparsity}: FDP {ours.mean_fdp:.3f} (worst {max(ours.fdp):.3f}), "
+                   f"FNP {ours.mean_fnp:.3f} vs BH {bh.mean_fnp:.3f}, Storey {storey.mean_fnp:.3f}")
+        assert 0.04 <= ours.mean_fdp <= 0.16, summary
+        assert ours.mean_fnp < bh.mean_fnp and ours.mean_fnp < storey.mean_fnp, summary
