@@ -111,7 +111,9 @@ def _year_holdings(job) -> tuple[dict[str, list[str]], dict]:
     """Fund ids per strategy for one holding year: window -> `carhart_fit` ->
     dependence -> fit -> d-values -> selections, seeded by (seed, year) alone;
     and the year's fit record: its status (`fit`, or `refused` when no grid
-    point is feasible) and the fit surface (`FitDiagnostics.surface`)."""
+    point is feasible), the fit surface (`FitDiagnostics.surface`), the
+    dependence model's factor count `l` and the d-values' effective sample
+    size `ess` (None in a refused year)."""
     by_fund, by_date, config, seed, year = job
     window = (f"{year - config.window_years}-01", f"{year - 1}-12")
     panel, factors, _log = assemble_window(by_fund, by_date, window)
@@ -128,13 +130,14 @@ def _year_holdings(job) -> tuple[dict[str, list[str]], dict]:
         # to act on: it holds nothing that year and the fallback applies.
         # The p-value strategies need only the statistics and still run.
         dvalue_ids: list[str] = []
-        fit = {"status": "refused", **FitDiagnostics.refused_surface(exc.trace)}
+        fit = {"status": "refused", **FitDiagnostics.refused_surface(exc.trace),
+               "l": dep.l, "ess": None}
     else:
-        fit = {"status": "fit", **diag.surface()}
         dv_seed = int(substream(seed, "backtest-dv", year).integers(2**63))
         report = compute_dvalues(
             estimates.z, dep, params, n_samples=config.n_samples, seed=dv_seed
         )
+        fit = {"status": "fit", **diag.surface(), "l": dep.l, "ess": report.ess}
         res = select_fdr_stepup(report.d, config.theta)
         dvalue_ids = [estimates.fund_ids[i] for i in np.flatnonzero(res.decisions)]
 

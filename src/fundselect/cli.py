@@ -611,8 +611,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # one BLAS thread per process, pool workers and OpenBLAS libraries loaded
-    # later included (simlab docstring)
+    # one BLAS thread per process, pool workers included (simlab docstring)
     _limit_blas_threads(1)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, by_name = build_parser()

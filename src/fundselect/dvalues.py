@@ -22,8 +22,10 @@ N(dev; mean_c, var_c) for the spike and both slabs and top = max c,
 e_c = exp(c_c - top) and log f = log(e0 + e1 + e2) + top feed the importance
 weights and the mode search, and a posterior ratio is linear,
 sum_c e_c P_c(half) / sum_c e_c, with each slab's half probabilities from one
-normal tail. `local_fdr` is the same chain at unit noise without factors, and
-a closed-form mass is a component's joint density times its half probability.
+normal tail, `selection._normal_tail` (NumPy alone: no run loads SciPy's
+special functions). `local_fdr` is the same chain at unit noise without
+factors, and a closed-form mass is a component's joint density times its
+half probability.
 
 For each block of draws the factor contribution B W is one matrix product;
 the elementwise chain that follows (component log densities, half
@@ -45,6 +47,7 @@ import numpy as np
 from .dependence import DependenceModel
 from .errors import DataError, NumericalError
 from .mixture import MixtureParams
+from .selection import _normal_tail
 from .streams import substream
 
 ESS_WARN_THRESHOLD = 50.0
@@ -84,13 +87,9 @@ def _posterior_q(dev, mu0, tau_sq, noise_var):
 
 def _half_probabilities(dev, mu0, tau_sq, noise_var):
     """P(mu <= 0 | x = dev) and P(mu >= 0 | x = dev): the smaller half is one
-    normal tail, ndtr(-|q|), the larger its complement."""
-    # imported here: loading scipy.special costs ~0.3 s, which commands that
-    # compute no d-value should not pay
-    from scipy.special import ndtr
-
+    normal tail, Phi(-|q|), the larger its complement."""
     q = _posterior_q(dev, mu0, tau_sq, noise_var)
-    small = ndtr(-np.abs(q))
+    small = _normal_tail(np.abs(q))
     large, up = 1.0 - small, q > 0.0
     return np.where(up, small, large), np.where(up, large, small)
 

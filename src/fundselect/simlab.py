@@ -8,17 +8,17 @@ alongside the BH and adaptive-BH baselines. Replications run in parallel with
 per-replication substreams, so results do not depend on the worker count.
 
 Worker threads: `map_jobs` starts at most one process per job, up to the
-requested workers, and sets every OpenBLAS already loaded in each (NumPy's,
-and SciPy's once `scipy.special` is imported) to one thread, and
-OPENBLAS_NUM_THREADS to 1 for any OpenBLAS loaded later. With one worker
-the jobs run in the calling process, also on one thread, and the caller's
-thread counts and OPENBLAS_NUM_THREADS come back afterwards; the CLI sets
-its own process the same way when it starts. No BLAS call in the pipeline
-gets faster on two threads (the largest, the thin SVD of the dependence
-model at p=2000, T=240, takes longer), while a second thread spins beside
-every small call, and with as many processes as cores the threads of
-different processes spin against each other. The study's results are the
-same bits with one worker process or several.
+requested workers, and sets every OpenBLAS loaded in each to one thread. The
+pipeline loads no OpenBLAS of its own after NumPy's (it imports none of
+SciPy's special functions or linear algebra), so that is NumPy's alone unless a
+caller has loaded SciPy's too. With one worker the jobs run in the calling
+process, also on one thread, and the caller's thread counts come back
+afterwards; the CLI sets its own process the same way when it starts. No
+BLAS call in the pipeline gets faster on two threads (the largest, the thin
+SVD of the dependence model at p=2000, T=240, takes longer), while a second
+thread spins beside every small call, and with as many processes as cores
+the threads of different processes spin against each other. The study's
+results are the same bits with one worker process or several.
 """
 
 from __future__ import annotations
@@ -348,9 +348,7 @@ def _openblas_thread_controls() -> list[tuple]:
 
 
 def _limit_blas_threads(threads: int) -> None:
-    """Run every loaded OpenBLAS on `threads` threads, and every one loaded
-    later too: OpenBLAS reads OPENBLAS_NUM_THREADS when it loads."""
-    os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
+    """Run every loaded OpenBLAS on `threads` threads."""
     for set_num_threads, _ in _openblas_thread_controls():
         set_num_threads(threads)
 
@@ -359,8 +357,7 @@ def map_jobs(fn, jobs: list, workers: int, catch: tuple = ()) -> list:
     """[fn(job) for job in jobs], run on min(workers, len(jobs)) processes,
     or in this process when that is at most one; `fn` and each job must
     pickle. Every job runs OpenBLAS on one thread: in this process, the
-    caller's thread counts and OPENBLAS_NUM_THREADS come back when the jobs
-    end, also on an error.
+    caller's thread counts come back when the jobs end, also on an error.
     An exception of a type in `catch` stands in for its job's result; any
     other propagates, the one of the earliest job first."""
     def outcome(call, *args):
@@ -373,17 +370,12 @@ def map_jobs(fn, jobs: list, workers: int, catch: tuple = ()) -> list:
     if processes <= 1:
         controls = _openblas_thread_controls()
         before = [get_num_threads() for _, get_num_threads in controls]
-        env_before = os.environ.get("OPENBLAS_NUM_THREADS")
         _limit_blas_threads(1)
         try:
             return [outcome(fn, job) for job in jobs]
         finally:
             for (set_num_threads, _), threads in zip(controls, before):
                 set_num_threads(threads)
-            if env_before is None:
-                os.environ.pop("OPENBLAS_NUM_THREADS", None)
-            else:
-                os.environ["OPENBLAS_NUM_THREADS"] = env_before
     with ProcessPoolExecutor(max_workers=processes, initializer=_limit_blas_threads,
                              initargs=(1,)) as pool:
         futures = [pool.submit(fn, job) for job in jobs]
@@ -413,11 +405,6 @@ def run_sim_study(
     """
     factors = synthetic_factors(setting.n_months, substream(setting.seed, "factors"))
     jobs = [(setting, r, grids, n_samples, factors) for r in range(setting.reps)]
-    if setting.theta > 0.0 and min(workers, len(jobs)) > 1:
-        # The d-values need scipy.special: imported here, before map_jobs
-        # forks, it is inherited by every worker, which then skips its own
-        # import. theta = 0 computes no d-values.
-        import scipy.special  # noqa: F401
     outcomes = map_jobs(_run_one_rep, jobs, workers, catch=_REP_FAILURES)
     results = [out for out in outcomes if not isinstance(out, Exception)]
     failures = [(r, str(out)) for r, out in enumerate(outcomes) if isinstance(out, Exception)]

@@ -254,7 +254,8 @@ def test_backtest_index_track_compounds_benchmark_exactly(planted_run):
 def test_backtest_records_each_years_fit(planted_run):
     """Each holding year carries its fit record: the grid size, the feasible
     count, the winning score, the runner-up gap and the winner's TV of the
-    fit that year's d-values came from."""
+    fit that year's d-values came from, the window's factor count and the
+    d-values' effective sample size."""
     track, config = planted_run["track"], planted_run["config"]
     assert sorted(track.fits) == track.years
     for fit in track.fits.values():
@@ -263,6 +264,8 @@ def test_backtest_records_each_years_fit(planted_run):
         assert np.isfinite(fit["score"])
         assert fit["runner_up_gap"] is None or fit["runner_up_gap"] >= 0.0
         assert 0.0 < fit["tv"] <= 1.0
+        assert isinstance(fit["l"], int) and 0 <= fit["l"] < 12 * config.window_years
+        assert isinstance(fit["ess"], float) and 1.0 <= fit["ess"] <= config.n_samples
 
 
 def test_backtest_is_deterministic(planted_run):
@@ -353,8 +356,10 @@ def test_backtest_fit_failure_empties_posterior_book(planted_run, monkeypatch):
     )
     assert track.selections["dvalue"][2005] == []
     assert track.values["dvalue"] == [1.0, 1.0]  # hold-cash all year
+    # the window's factor count is known before the fit, so it is kept
     assert track.fits == {2005: {"status": "refused", "n_feasible": 0, "n_grid_points": 7,
-                                 "score": None, "runner_up_gap": None, "tv": None}}
+                                 "score": None, "runner_up_gap": None, "tv": None,
+                                 "l": planted_run["track"].fits[2005]["l"], "ess": None}}
     # the p-value strategies are unaffected by the posterior fit
     assert track.selections["bh"][2005] == planted_run["track"].selections["bh"][2005]
 

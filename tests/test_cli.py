@@ -202,11 +202,13 @@ def test_backtest_smoke(panel_files, tmp_path):
     assert sel["years"] == [2005]
     assert set(sel["fits"]) == {"2005"}
     fit = sel["fits"]["2005"]
-    assert set(fit) == {"status", "n_feasible", "n_grid_points", "score", "runner_up_gap", "tv"}
+    assert set(fit) == {"status", "n_feasible", "n_grid_points", "score", "runner_up_gap", "tv",
+                        "l", "ess"}
     assert fit["status"] in ("fit", "refused")
     assert 0 <= fit["n_feasible"] <= fit["n_grid_points"] == 2 * 3 * 8 * 8
     assert ((fit["status"] == "fit") == (fit["score"] is not None) == (fit["tv"] is not None)
-            == (fit["n_feasible"] > 0))
+            == (fit["ess"] is not None) == (fit["n_feasible"] > 0))
+    assert isinstance(fit["l"], int) and fit["l"] >= 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -543,33 +545,100 @@ def test_failed_write_removes_what_it_wrote(dvalue_csv, tmp_path, monkeypatch, c
     assert afile.read_text() == "y"
 
 
-def test_cli_import_does_not_load_scipy_special():
-    """fit, select and rank-compare never need scipy.special; the d-value
-    commands load it at their first d-value."""
+def _subprocess_env(**extra):
+    """This environment with the package's source first on PYTHONPATH."""
     src = str(Path(fundselect.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def test_cli_import_does_not_load_scipy_special():
     code = "import sys, fundselect.cli; assert 'scipy.special' not in sys.modules, 'loaded'"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), check=True)
+
+
+# Runs each argv list it is given through the CLI and reports, as JSON lines,
+# whether scipy.special is loaded: in this process after each call, and in a
+# pool worker after each replication or holding year it ran.
+_SCIPY_SPECIAL_PROBE = """
+import json, sys
+from fundselect import backtest, cli, simlab
+
+def report(where):
+    print(json.dumps([where, "scipy.special" in sys.modules]), flush=True)
+
+def rep(args):
+    out = run_one_rep(args)
+    report("worker")
+    return out
+
+def year(job):
+    out = year_holdings(job)
+    report("worker")
+    return out
+
+run_one_rep, year_holdings = simlab._run_one_rep, backtest._year_holdings
+simlab._run_one_rep, backtest._year_holdings = rep, year
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    report(argv[0])
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_run_loads_scipy_special(panel_files, tmp_path):
+    """A dvalues call, a simulate call and a backtest call, the latter two on
+    a pool of two, leave scipy.special unloaded in the CLI's process and in
+    every pool worker, each of which computed d-values."""
+    panel = ["--returns", panel_files["returns"], "--factors", panel_files["factors"]]
+    calls = [
+        ["simulate", "--p", "60", "--sparsity", "s1", "--dep", "d1", "--theta", "0.1",
+         "--reps", "2", "--months", "120", *GRID_FLAGS, "--mc-samples", "200",
+         "--workers", "2", "--out", str(tmp_path / "sim")],
+        ["dvalues", *panel, "--window", WINDOW, *GRID_FLAGS, "--mc-samples", "200",
+         "--out", str(tmp_path / "dv")],
+        ["backtest", *panel, "--start-year", "2005", "--end-year", "2006",
+         "--window-years", "5", *GRID_FLAGS, "--mc-samples", "200", "--seed", "3",
+         "--workers", "2", "--out", str(tmp_path / "bt")],
+    ]
+    run = subprocess.run([sys.executable, "-c", _SCIPY_SPECIAL_PROBE, json.dumps(calls)],
+                         env=_subprocess_env(), check=True, capture_output=True, text=True)
+    reports = [json.loads(line) for line in run.stdout.splitlines() if line.startswith('["')]
+    assert [where for where, _ in reports] == ["worker", "worker", "simulate", "dvalues",
+                                               "worker", "worker", "backtest"]
+    assert not any(loaded for _, loaded in reports)
+    fits = _read_output_json(tmp_path / "bt" / "backtest_selections.json")["fits"]
+    assert {fit["status"] for fit in fits.values()} == {"fit"}
+
+
+_OPENBLAS_PROBE = """
+import json, sys
+from fundselect import cli, simlab
+
+def libraries():
+    with open("/proc/self/maps") as fh:
+        return sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+
+before = libraries()  # NumPy's, loaded with the package
+code = cli.main(sys.argv[1:])
+threads = [get() for _, get in simlab._openblas_thread_controls()]
+print(json.dumps([code, threads, before, libraries()]))
+"""
 
 
 def test_dvalues_run_leaves_every_openblas_on_one_thread(panel_files, tmp_path):
-    """SciPy's OpenBLAS loads with the first d-value, after the CLI has set its
-    process to one thread; it runs one thread too, whatever
-    OPENBLAS_NUM_THREADS the caller set."""
-    src = str(Path(fundselect.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = ("import json, sys\n"
-            "from fundselect import cli, simlab\n"
-            "code = cli.main(sys.argv[1:])\n"
-            "print(json.dumps([code, [get() for _, get in simlab._openblas_thread_controls()]]))")
+    """A dvalues run maps no OpenBLAS besides the one NumPy brought, and runs
+    it on one thread whatever OPENBLAS_NUM_THREADS the caller set."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps on this platform")
     argv = ["dvalues", "--returns", panel_files["returns"], "--factors", panel_files["factors"],
             "--window", WINDOW, *GRID_FLAGS, "--mc-samples", "200", "--out", str(tmp_path / "dv")]
-    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+    run = subprocess.run([sys.executable, "-c", _OPENBLAS_PROBE, *argv],
+                         env=_subprocess_env(OPENBLAS_NUM_THREADS="2"), check=True,
                          capture_output=True, text=True)
-    code, threads = json.loads(run.stdout.splitlines()[-1])
+    code, threads, before, after = json.loads(run.stdout.splitlines()[-1])
     assert code == 0
+    assert after == before
     if not threads:
         pytest.skip("no OpenBLAS loaded")
     assert threads == [1] * len(threads)

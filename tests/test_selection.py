@@ -5,6 +5,9 @@ decision vectors, and the Benjamini-Hochberg implementation against an
 independent adjusted-p-value oracle, both implemented here.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from scipy.stats import norm
 from fundselect.errors import DataError
 from fundselect.selection import (
     SelectionResult,
+    _normal_tail,
     bh_select,
     one_sided_pvalues,
     optimal_decision,
@@ -235,6 +239,46 @@ def test_one_sided_pvalues():
     ends = one_sided_pvalues(np.array([0.0, np.inf, -np.inf]))
     assert ends.tolist() == [0.5, 0.0, 1.0]
     assert one_sided_pvalues(z.reshape(4, -1)).shape == (4, 5001)
+
+
+def test_normal_tail_relative_accuracy():
+    """Phi(-q) = erfc(q / sqrt(2)) / 2 to a few ulp wherever it is >= 1e-300.
+
+    Below q = sqrt(2) SciPy's ndtr runs the same Cephes erf arithmetic, and it
+    is the complement of a tail beyond -sqrt(2); there the two agree to 1e-15.
+    Above, ndtr rounds x^2 before its exp and drifts from the true tail by up
+    to x^2 2^-53 relative (6e-14 at q = 37), so the reference there is
+    `math.erfc`, accurate to an ulp. The 2e-15 bound (9 ulp) covers the 1 -
+    erf(x) cancellation Cephes (and ndtr) has just below |x| = 1, 1.7e-15 at
+    worst on a grid 40 times denser, and a few ulp of rounding in the tail.
+    """
+    q = np.linspace(-38.0, 38.0, 76_001)
+    got = _normal_tail(q)
+    tail = np.array([0.5 * math.erfc(v * math.sqrt(0.5)) for v in q.tolist()])
+    live = tail >= 1e-300
+    np.testing.assert_allclose(got[live], tail[live], rtol=2e-15, atol=0.0)
+    below = q < math.sqrt(2.0)
+    np.testing.assert_allclose(got[below], ndtr(-q[below]), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(got[live], ndtr(-q[live]), rtol=1e-13, atol=0.0)
+
+
+def test_normal_tail_ends_and_shapes():
+    """Exactly 0 at +inf and past underflow, exactly 1 at -inf, NaN at NaN,
+    with no floating-point warning; a 0-d input gives what the same element
+    gives inside an n-d array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = _normal_tail(np.array([np.inf, 38.7, 40.0, 1e300, -np.inf, -40.0, -1e300,
+                                      np.nan, 0.0, -0.0]))
+    assert ends[:7].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert np.isnan(ends[7]) and ends[8:].tolist() == [0.5, 0.5]
+    q = np.linspace(-39.0, 39.0, 60).reshape(3, 4, 5)
+    flat = _normal_tail(q.ravel())
+    assert np.array_equal(_normal_tail(q), flat.reshape(q.shape))
+    for v, want in zip(q.ravel().tolist(), flat):
+        for scalar in (v, np.float64(v), np.array(v)):
+            got = _normal_tail(scalar)
+            assert got.shape == () and got == want
 
 
 def test_bh_worked_example():

@@ -258,24 +258,29 @@ def test_pool_workers_run_one_blas_thread(monkeypatch, workers, reps, processes)
     assert [get() for _, get in controls] == before
 
 
+_study_rep = simlab._run_one_rep
+
+
 def _rep_reporting_scipy_special(args):
-    """A canned replication whose selection count is 1 when the process that
-    ran it had scipy.special loaded before the replication started."""
-    out = _canned_rep(args[1])
+    """A real replication whose d-value selection count is 1 when the process
+    that ran it had scipy.special loaded afterwards."""
+    out = _study_rep(args)
     out["dvalue"]["selected"] = int("scipy.special" in sys.modules)
     return out
 
 
-@pytest.mark.parametrize("workers, theta, loaded", [(2, 0.1, 1), (1, 0.1, 0), (2, 0.0, 0)],
+@pytest.mark.parametrize("workers, theta", [(2, 0.1), (1, 0.1), (2, 0.0)],
                          ids=["pool", "in-process", "no-dvalues"])
-def test_forked_workers_inherit_scipy_special(monkeypatch, workers, theta, loaded):
-    """With more than one worker and d-values to compute (theta > 0), the
-    study imports scipy.special before the pool forks, so every worker finds
-    it loaded; otherwise it imports nothing."""
+def test_forked_workers_inherit_scipy_special(monkeypatch, workers, theta):
+    """Forked workers inherit this process's modules, and no replication
+    imports scipy.special: with or without d-values to compute, in a pool
+    worker or in this process, each runs to the end without it."""
     monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
     monkeypatch.setattr(simlab, "_run_one_rep", _rep_reporting_scipy_special)
     setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=theta, reps=2, seed=2)
-    assert run_sim_study(setting, workers=workers)["dvalue"].selected == [loaded] * 2
+    out = run_sim_study(setting, grids=STUDY_GRIDS, n_samples=200, workers=workers)
+    assert out["dvalue"].selected == [0] * 2
+    assert "scipy.special" not in sys.modules
 
 
 def _blas_threads(job):
@@ -324,34 +329,12 @@ def test_thread_controls_cover_every_loaded_openblas():
 
 
 def test_blas_limit_does_nothing_without_openblas(monkeypatch):
-    """Without a thread control the limit changes no loaded library; it still
-    sets OPENBLAS_NUM_THREADS for any OpenBLAS loaded later."""
+    """Without a thread control the limit changes no loaded library."""
     controls = simlab._openblas_thread_controls()
     before = [get() for _, get in controls]
     monkeypatch.setattr(simlab, "_openblas_thread_controls", lambda: [])
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # restored afterwards
     simlab._limit_blas_threads(max(before, default=1) + 1)
     assert [get() for _, get in controls] == before
-    assert os.environ["OPENBLAS_NUM_THREADS"] == str(max(before, default=1) + 1)
-
-
-def _blas_env(job):
-    return os.environ.get("OPENBLAS_NUM_THREADS")
-
-
-@pytest.mark.parametrize("caller", [None, "2"])
-def test_in_process_jobs_restore_openblas_num_threads(monkeypatch, caller):
-    """In-process jobs see OPENBLAS_NUM_THREADS=1, and the caller's value, or
-    its absence, comes back afterwards, also when a job raises."""
-    if caller is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
-    assert simlab.map_jobs(_blas_env, [0, 1], workers=1) == ["1", "1"]
-    assert os.environ.get("OPENBLAS_NUM_THREADS") == caller
-    with pytest.raises(RuntimeError, match="job 0 failed"):
-        simlab.map_jobs(_failing_job, [0], workers=1)
-    assert os.environ.get("OPENBLAS_NUM_THREADS") == caller
 
 
 def test_usable_cores_follow_the_affinity_mask(monkeypatch):
