@@ -27,7 +27,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .backtest import BacktestConfig, rank_compare, run_backtest
@@ -149,13 +148,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     by_name["dvalues"] = sp
 
     sp = subs.add_parser("select", help="select skilled funds at a target FDR level")
-    _add_io(sp)
-    _add_grids(sp)
-    sp.add_argument("--dvalues", help="precomputed d-value CSV instead of a panel")
+    sp.add_argument("--dvalues", help="d-value CSV, as written by dvalues")
     sp.add_argument("--theta", type=_fdr_level, default=0.1, help="FDR target level")
     sp.add_argument("--lambda", dest="lam", type=_positive,
                     help="loss tradeoff for the exact rule")
-    sp.add_argument("--mc-samples", type=_mc_samples, default=2000)
     _add_common(sp)
     by_name["select"] = sp
 
@@ -185,11 +181,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     by_name["backtest"] = sp
 
     sp = subs.add_parser("rank-compare", help="top-n by d-value vs top-n by p-value")
-    _add_io(sp)
-    _add_grids(sp)
-    sp.add_argument("--dvalues", help="precomputed d-value CSV instead of a panel")
+    sp.add_argument("--dvalues", help="d-value CSV with a z column, as written by dvalues")
     sp.add_argument("--top-n", type=_count, default=50)
-    sp.add_argument("--mc-samples", type=_mc_samples, default=2000)
     _add_common(sp)
     by_name["rank-compare"] = sp
 
@@ -265,7 +258,6 @@ class _RunContext:
                 "fundselect": __version__,
                 "numpy": np.__version__,
                 "python": platform.python_version(),
-                "scipy": scipy.__version__,
             },
         }
         self.outputs: dict[str, str] = {}  # file name -> rendered text
@@ -341,18 +333,13 @@ def _load_window(args):
     return assemble_window(by_fund, by_date, tuple(args.window))
 
 
-def _run_pipeline(args, need_dvalues: bool = True):
-    """Shared panel -> fit (-> d-values) path for fit/dvalues/select/rank-compare."""
+def _run_pipeline(args):
+    """Shared panel -> fit path for fit and dvalues."""
     panel, factors, cleaning = _load_window(args)
     estimates = carhart_fit(panel, factors)
     dep = build_dependence(estimates, panel)
     params, diag = fit_mixture(estimates.z, dep, grids=_grids(args), seed=args.seed)
-    report = None
-    if need_dvalues:
-        report = compute_dvalues(
-            estimates.z, dep, params, n_samples=args.mc_samples, seed=args.seed
-        )
-    return panel, cleaning, estimates, dep, params, diag, report
+    return panel, cleaning, estimates, dep, params, diag
 
 
 def _dependence_summary(dep, n_obs: int) -> dict:
@@ -426,7 +413,7 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
 
 
 def _cmd_fit(args, ctx: _RunContext) -> None:
-    panel, cleaning, estimates, dep, params, diag, _ = _run_pipeline(args, need_dvalues=False)
+    panel, cleaning, estimates, dep, params, diag = _run_pipeline(args)
     ctx.write_json("cleaning.json", cleaning)
     ctx.write_json(
         "mixture_params.json",
@@ -441,7 +428,8 @@ def _cmd_fit(args, ctx: _RunContext) -> None:
 
 
 def _cmd_dvalues(args, ctx: _RunContext) -> None:
-    panel, cleaning, estimates, dep, params, diag, report = _run_pipeline(args)
+    panel, cleaning, estimates, dep, params, diag = _run_pipeline(args)
+    report = compute_dvalues(estimates.z, dep, params, n_samples=args.mc_samples, seed=args.seed)
     ctx.write_json("cleaning.json", cleaning)
     lfdr = local_fdr(estimates.z, params)
     rows = [
@@ -463,19 +451,9 @@ def _cmd_dvalues(args, ctx: _RunContext) -> None:
     )
 
 
-def _dvalue_source(args) -> tuple[list[str], dict[str, np.ndarray]]:
-    """Fund ids and columns (`d_value`, plus `z` and `los` where known), read
-    from --dvalues or computed from the panel."""
-    if args.dvalues is not None and args.returns is not None:
-        raise ConfigError("give either --dvalues or a panel (--returns/--factors), not both")
-    if args.dvalues is not None:
-        return _read_dvalue_csv(args.dvalues)
-    _, _, estimates, _, _, _, report = _run_pipeline(args)
-    return list(estimates.fund_ids), {"d_value": report.d, "z": estimates.z, "los": report.los}
-
-
 def _cmd_select(args, ctx: _RunContext) -> None:
-    fund_ids, cols = _dvalue_source(args)
+    _require_flags(args, "dvalues")
+    fund_ids, cols = _read_dvalue_csv(args.dvalues)
     d, z, los = cols["d_value"], cols.get("z"), cols.get("los")
 
     skilled = select_fdr_stepup(d, args.theta)
@@ -590,7 +568,8 @@ def _cmd_backtest(args, ctx: _RunContext) -> None:
 
 
 def _cmd_rank_compare(args, ctx: _RunContext) -> None:
-    fund_ids, cols = _dvalue_source(args)
+    _require_flags(args, "dvalues")
+    fund_ids, cols = _read_dvalue_csv(args.dvalues)
     if "z" not in cols:
         raise DataError(f"{args.dvalues}: rank-compare needs a z column")
     d, z = cols["d_value"], cols["z"]

@@ -22,10 +22,9 @@ N(dev; mean_c, var_c) for the spike and both slabs and top = max c,
 e_c = exp(c_c - top) and log f = log(e0 + e1 + e2) + top feed the importance
 weights and the mode search, and a posterior ratio is linear,
 sum_c e_c P_c(half) / sum_c e_c, with each slab's half probabilities from one
-normal tail, `selection._normal_tail` (NumPy alone: no run loads SciPy's
-special functions). `local_fdr` is the same chain at unit noise without
-factors, and a closed-form mass is a component's joint density times its
-half probability.
+normal tail, `selection._normal_tail` (NumPy alone: the package imports no
+SciPy). `local_fdr` is the same chain at unit noise without factors, and a
+closed-form mass is a component's joint density times its half probability.
 
 For each block of draws the factor contribution B W is one matrix product;
 the elementwise chain that follows (component log densities, half

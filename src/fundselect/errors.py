@@ -21,7 +21,8 @@ class NumericalError(FundselectError):
 
 
 class FitFailedError(NumericalError):
-    """No feasible grid point in the mixture fit; carries the search trace."""
+    """No feasible grid point in the mixture fit; carries the grid trace
+    (`FitDiagnostics.grid_trace`'s array)."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)

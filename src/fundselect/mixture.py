@@ -27,7 +27,6 @@ Fixed grids give the same fit whatever the seed, which moves only `tv`.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -53,6 +52,9 @@ _SOLVE_ROWS = 8192  # rows (cell x variance pair x start) iterated together
 # _TRIAL_CELLS (row, length) pairs.
 _STEP_LENGTHS = np.ldexp(1.0, -np.arange(30))
 _TRIAL_CELLS = 4096
+# One row per grid point of `FitDiagnostics.grid_trace`, score NaN where infeasible.
+_TRACE_DTYPE = np.dtype([("m", float), ("nu0", float), ("tau1_sq", float), ("tau2_sq", float),
+                         ("feasible", bool), ("score", float)])
 
 
 @dataclass(frozen=True)
@@ -135,26 +137,27 @@ class GridConfig:
 @dataclass(eq=False)
 class FitDiagnostics:
     """What the grid search saw: winning subset size, factor estimate,
-    winning score, the winner's simulated TV, one record per grid point,
-    and how far the second-best score lies above the winning one (None with
-    fewer than two feasible points)."""
+    winning score, the winner's simulated TV, the grid trace (a `_TRACE_DTYPE`
+    array, one row per grid point in lexical order) and how far the
+    second-best score lies above the winning one (None with fewer than two
+    feasible points)."""
 
     m_pct: float
     v_hat: np.ndarray
     score: float
     tv: float
-    grid_trace: list[dict] = field(default_factory=list)
+    grid_trace: np.ndarray = field(default_factory=lambda: np.empty(0, _TRACE_DTYPE))
     runner_up_gap: float | None = None
 
     def surface(self) -> dict:
         """The fit record the output files write: the grid size, the feasible
         count, the winning score, the runner-up gap and the winner's TV."""
         return {"n_grid_points": len(self.grid_trace),
-                "n_feasible": sum(rec["feasible"] for rec in self.grid_trace),
+                "n_feasible": int(np.count_nonzero(self.grid_trace["feasible"])),
                 "score": self.score, "runner_up_gap": self.runner_up_gap, "tv": self.tv}
 
     @staticmethod
-    def refused_surface(trace: list[dict]) -> dict:
+    def refused_surface(trace: np.ndarray) -> dict:
         """The record of a fit refused with this trace: nothing feasible, no winner."""
         return {"n_grid_points": len(trace), "n_feasible": 0,
                 "score": None, "runner_up_gap": None, "tv": None}
@@ -601,11 +604,12 @@ def fit_mixture(
     Builds every grid point's candidate (`_grid_candidates`), scores the
     feasible ones (`_score_candidates`) and keeps the smallest score, ties
     going to the earlier point in lexical order (m, nu0, tau1_sq, tau2_sq).
-    The trace records every grid point's `score` in that order. The winner
-    and the trace do not depend on `seed`: it drives only `diag.tv`, the
-    mean TV of the data against `_TV_DRAWS` `simulate_z` draws of the winner
-    from substream (seed, "fit_tv"). Raises FitFailedError, with the trace,
-    when no point is feasible.
+    The trace holds every grid point's row in that order (`_TRACE_DTYPE`),
+    built from the candidate table's columns. The winner and the trace do
+    not depend on `seed`: it drives only `diag.tv`, the mean TV of the data
+    against `_TV_DRAWS` `simulate_z` draws of the winner from substream
+    (seed, "fit_tv"). Raises FitFailedError, with the trace, when no point
+    is feasible.
     """
     z = np.asarray(z, dtype=float)
     if z.size < 50:
@@ -617,18 +621,18 @@ def fit_mixture(
 
     v_hats, rows, feasible = _grid_candidates(z, dep, grids)
     scores = _score_candidates(z, dep, v_hats, rows, feasible)
-    points = itertools.product(grids.m_grid, grids.nu0_grid, grids.tau_grid, grids.tau_grid)
-    trace = [
-        {"m": m, "nu0": nu0, "tau1_sq": t1, "tau2_sq": t2, "feasible": ok,
-         "score": score if ok else None}
-        for (m, nu0, t1, t2), ok, score in zip(points, feasible.tolist(), scores.tolist())
-    ]
+    trace = np.empty(len(rows), _TRACE_DTYPE)
+    per_m = len(rows) // len(grids.m_grid)
+    for name, column in zip(_TRACE_DTYPE.names, (
+            np.repeat(np.asarray(grids.m_grid, dtype=float), per_m),
+            rows[:, 3], rows[:, 6], rows[:, 7], feasible, scores)):
+        trace[name] = column
     if not feasible.any():
         raise FitFailedError(
             f"no feasible grid point among {len(trace)} candidates", trace=trace
         )
     best = int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))
-    mi = best // (len(grids.nu0_grid) * len(grids.tau_grid) ** 2)
+    mi = best // per_m
     ranked = np.sort(scores[feasible])
     gap = float(ranked[1] - ranked[0]) if ranked.size > 1 else None
     winner = MixtureParams(*rows[best].tolist())

@@ -9,9 +9,8 @@ per-replication substreams, so results do not depend on the worker count.
 
 Worker threads: `map_jobs` starts at most one process per job, up to the
 requested workers, and sets every OpenBLAS loaded in each to one thread. The
-pipeline loads no OpenBLAS of its own after NumPy's (it imports none of
-SciPy's special functions or linear algebra), so that is NumPy's alone unless a
-caller has loaded SciPy's too. With one worker the jobs run in the calling
+package imports no SciPy, so that is NumPy's OpenBLAS alone unless a caller
+has loaded SciPy's too. With one worker the jobs run in the calling
 process, also on one thread, and the caller's thread counts come back
 afterwards; the CLI sets its own process the same way when it starts. No
 BLAS call in the pipeline gets faster on two threads (the largest, the thin

@@ -89,7 +89,7 @@ def test_fit_writes_manifest_and_params(panel_files, tmp_path):
     manifest = json.loads((out / manifests[0]).read_text())
     assert manifest["command"] == "fit"
     assert manifest["hash"] in manifests[0]
-    assert {"fundselect", "numpy", "scipy", "python"} <= set(manifest["versions"])
+    assert set(manifest["versions"]) == {"fundselect", "numpy", "python"}
     assert "workers" not in manifest["config"] and "out" not in manifest["config"]
 
     params = _read_output_json(out / "mixture_params.json")
@@ -349,12 +349,32 @@ def test_bad_numeric_flags_are_config_errors(argv, flag, dvalue_csv, tmp_path, c
     assert not out.exists()
 
 
-def test_both_sources_rejected(dvalue_csv, panel_files, capsys):
-    code = main(
-        ["select", "--dvalues", dvalue_csv, "--returns", panel_files["returns"]]
-    )
-    assert code == 2
-    assert "not both" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["select", "rank-compare"])
+def test_dvalue_commands_need_a_dvalue_file(command, tmp_path, capsys):
+    """select and rank-compare read only a d-value file: without --dvalues,
+    from a flag or the INI, they exit 2 and write nothing."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\nseed = 4\n")
+    out = tmp_path / "out"
+    for extra in ([], ["--config", str(ini)]):
+        assert main([command, *extra, "--out", str(out)]) == 2
+        assert "[config-error] missing required flag(s): --dvalues\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_dvalue_commands_take_no_panel(dvalue_csv, panel_files, tmp_path, capsys):
+    """A panel flag on select is an unrecognized argument, and a panel key in
+    its INI section an unknown key."""
+    out = tmp_path / "out"
+    assert main(["select", "--dvalues", dvalue_csv, "--returns", panel_files["returns"],
+                 "--out", str(out)]) == 2
+    assert "[config-error] unrecognized arguments: --returns" in capsys.readouterr().err
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[select]\ndvalues = {dvalue_csv}\nreturns = {panel_files['returns']}\n")
+    assert main(["select", "--config", str(ini), "--out", str(out)]) == 2
+    assert "[config-error] unknown key 'returns' in config section [select]" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
@@ -553,7 +573,9 @@ def _subprocess_env(**extra):
 
 
 def test_cli_import_does_not_load_scipy_special():
-    code = "import sys, fundselect.cli; assert 'scipy.special' not in sys.modules, 'loaded'"
+    """SciPy is a test-only dependency: importing the CLI loads none of it."""
+    code = ("import sys, fundselect.cli; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'loaded'")
     subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), check=True)
 
 
@@ -642,6 +664,31 @@ def test_dvalues_run_leaves_every_openblas_on_one_thread(panel_files, tmp_path):
     if not threads:
         pytest.skip("no OpenBLAS loaded")
     assert threads == [1] * len(threads)
+
+
+_COMMON = {"--config", "--out", "--seed", "--workers"}
+_PANEL = {"--returns", "--factors", "--window"}
+_GRIDS = {"--grid-m", "--grid-nu0", "--grid-tau"}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("fit", _COMMON | _PANEL | _GRIDS),
+    ("dvalues", _COMMON | _PANEL | _GRIDS | {"--mc-samples"}),
+    ("select", _COMMON | {"--dvalues", "--theta", "--lambda"}),
+    ("simulate", _COMMON | _GRIDS | {"--p", "--sparsity", "--dep", "--theta", "--reps",
+                                     "--months", "--mc-samples"}),
+    ("backtest", _COMMON | _PANEL | _GRIDS | {"--start-year", "--end-year", "--window-years",
+                                              "--theta", "--fallback", "--benchmark",
+                                              "--mc-samples"}),
+    ("rank-compare", _COMMON | {"--dvalues", "--top-n"}),
+])
+def test_each_command_has_exactly_its_options(command, options):
+    """Each subcommand's option set is pinned: a new or dropped flag is a
+    deliberate edit here."""
+    _, by_name = build_parser()
+    got = {opt for action in by_name[command]._actions for opt in action.option_strings}
+    assert got - {"-h", "--help"} == options
+    assert set(by_name) == {"fit", "dvalues", "select", "simulate", "backtest", "rank-compare"}
 
 
 def test_workers_help_names_the_commands_that_use_it():

@@ -397,8 +397,7 @@ def test_fit_recovers_spike_location(coarse_grids):
            for n in coarse_grids.nu0_grid
            for t1 in coarse_grids.tau_grid
            for t2 in coarse_grids.tau_grid]
-    got = [(r["m"], r["nu0"], r["tau1_sq"], r["tau2_sq"]) for r in diag.grid_trace]
-    assert got == lex
+    assert diag.grid_trace[["m", "nu0", "tau1_sq", "tau2_sq"]].tolist() == lex
 
 
 def test_fit_without_common_factors(coarse_grids):
@@ -669,19 +668,32 @@ def _ref_fit(z, dep, grids, seed):
                                   grid_trace=trace)
 
 
+def _trace_records(trace):
+    """A grid trace as the reference's records: the fit's structured array
+    becomes one dict per row, its score None where the point is
+    infeasible; the reference's list passes through."""
+    if isinstance(trace, list):
+        return trace
+    return [{**rec, "score": rec["score"] if rec["feasible"] else None}
+            for rec in (dict(zip(trace.dtype.names, row)) for row in trace.tolist())]
+
+
 def _fit_outcome(fit, z, dep, grids, seed):
     """The fit's result -- (params, diagnostics) with the scores left out of
     the trace, or the FitFailedError message and trace -- with every float
     as its repr, so that equality is equality of bits; the scores, as
-    (winning score, each point's score or NaN); and the grid trace."""
+    (winning score, each point's score or NaN); and the grid trace as
+    records."""
     try:
         params, diag = fit(z, dep, grids, seed)
     except FitFailedError as exc:
-        return ("failed", str(exc), repr(exc.trace)), None, exc.trace
-    points = [{k: v for k, v in rec.items() if k != "score"} for rec in diag.grid_trace]
+        trace = _trace_records(exc.trace)
+        return ("failed", str(exc), repr(trace)), None, trace
+    trace = _trace_records(diag.grid_trace)
+    points = [{k: v for k, v in rec.items() if k != "score"} for rec in trace]
     outcome = (repr(params), diag.m_pct, diag.v_hat.tobytes(), repr(diag.tv), repr(points))
-    scores = [np.nan if rec["score"] is None else rec["score"] for rec in diag.grid_trace]
-    return outcome, np.array([diag.score, *scores]), diag.grid_trace
+    scores = [np.nan if rec["score"] is None else rec["score"] for rec in trace]
+    return outcome, np.array([diag.score, *scores]), trace
 
 
 def _assert_fits_match(z, dep, grids, seed):
@@ -768,7 +780,7 @@ def test_fit_does_not_depend_on_the_seed():
     grids = GridConfig(m_grid=m_grid, nu0_grid=nu0_grid, tau_grid=_BIT_TAUS)
     (params_a, diag_a), (params_b, diag_b) = (fit_mixture(z, dep, grids, seed=s) for s in (5, 6))
     assert repr(params_a) == repr(params_b)
-    assert repr(diag_a.grid_trace) == repr(diag_b.grid_trace)
+    assert diag_a.grid_trace.tobytes() == diag_b.grid_trace.tobytes()
     assert (diag_a.score, diag_a.runner_up_gap) == (diag_b.score, diag_b.runner_up_gap)
     assert diag_a.tv != diag_b.tv
 
