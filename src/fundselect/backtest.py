@@ -10,7 +10,7 @@ from .dependence import build_dependence
 from .dvalues import compute_dvalues
 from .errors import ConfigError, DataError, FitFailedError
 from .mixture import FitDiagnostics, GridConfig, fit_mixture
-from .panel import (_parse_factors_csv, _parse_monthly_csv, _parse_returns_csv,
+from .panel import (ReturnTable, _parse_factors_csv, _parse_monthly_csv, _parse_returns_csv,
                     assemble_window, carhart_fit)
 from .selection import bh_select, select_fdr_stepup, storey_select
 from .simlab import map_jobs
@@ -83,23 +83,23 @@ def _parse_benchmark_csv(path: str) -> dict[str, float]:
 def _month_return(
     held: list[str],
     month: str,
-    by_fund: dict[str, dict[str, float]],
+    table: ReturnTable,
     benchmark: dict[str, float] | None,
     fallback: str,
 ) -> float:
-    """Equal-weight return of the held funds for one month.
+    """Equal-weight return of the held funds for one month, read off the
+    month's row of the returns table.
 
     A fund missing the month (no row, or the 0.0 missing-data sentinel) drops
     out with the weight renormalized over the rest; an empty book falls back
     to cash or to the benchmark.
     """
-    rets = []
-    for fund in held:
-        val = by_fund.get(fund, {}).get(month)
-        if val is not None and val != 0.0:
-            rets.append(val)
-    if rets:
-        return float(np.mean(rets))
+    t = table.row_of.get(month)
+    if t is not None:
+        rets = table.matrix[t, [table.col_of[fund] for fund in held]]
+        rets = rets[~np.isnan(rets) & (rets != 0.0)]
+        if rets.size:
+            return float(np.mean(rets))
     if fallback == "hold-cash":
         return 0.0
     if month not in benchmark:
@@ -114,9 +114,9 @@ def _year_holdings(job) -> tuple[dict[str, list[str]], dict]:
     point is feasible), the fit surface (`FitDiagnostics.surface`), the
     dependence model's factor count `l` and the d-values' effective sample
     size `ess` (None in a refused year)."""
-    by_fund, by_date, config, seed, year = job
+    table, by_date, config, seed, year = job
     window = (f"{year - config.window_years}-01", f"{year - 1}-12")
-    panel, factors, _log = assemble_window(by_fund, by_date, window)
+    panel, factors, _log = assemble_window(table, by_date, window)
     estimates = carhart_fit(panel, factors)
     dep = build_dependence(estimates, panel)
     fit_seed = int(substream(seed, "backtest-fit", year).integers(2**63))
@@ -170,9 +170,12 @@ def run_backtest(
     book that always falls back to the benchmark, is added when a benchmark
     file is configured. The years' holdings run through `simlab.map_jobs` on
     at most `workers` processes (the first failing year raises); the
-    compounding runs here, year by year.
+    compounding runs here, year by year. Each job carries the returns table
+    (`panel.ReturnTable`: the month x fund matrix and its two axes), so a
+    worker receives one array, and each month's compounding reads one row
+    of it.
     """
-    by_fund = _parse_returns_csv(returns_csv)
+    table = _parse_returns_csv(returns_csv)
     by_date = _parse_factors_csv(factors_csv)
     benchmark = (
         _parse_benchmark_csv(config.benchmark_csv) if config.benchmark_csv else None
@@ -189,7 +192,7 @@ def run_backtest(
         if not held_months[year]:
             raise DataError(f"factor series has no months in holding year {year}")
 
-    jobs = [(by_fund, by_date, config, seed, year) for year in years]
+    jobs = [(table, by_date, config, seed, year) for year in years]
     fits = {}
     for year, (holdings, fit) in zip(years, map_jobs(_year_holdings, jobs, workers)):
         fits[year] = fit
@@ -199,7 +202,7 @@ def run_backtest(
             value = values[name][-1]
             for month in held_months[year]:
                 value *= 1.0 + _month_return(
-                    holdings[name], month, by_fund, benchmark, fallback
+                    holdings[name], month, table, benchmark, fallback
                 )
             values[name].append(value)
 

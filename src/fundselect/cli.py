@@ -40,6 +40,7 @@ from .panel import (
     _parse_returns_csv,
     assemble_window,
     carhart_fit,
+    open_text,
     window_months,
 )
 from .selection import (
@@ -328,9 +329,9 @@ def _require_flags(args, *dests: str) -> None:
 
 def _load_window(args):
     _require_flags(args, "returns", "factors", "window")
-    by_fund = _parse_returns_csv(args.returns)
+    table = _parse_returns_csv(args.returns)
     by_date = _parse_factors_csv(args.factors)
-    return assemble_window(by_fund, by_date, tuple(args.window))
+    return assemble_window(table, by_date, tuple(args.window))
 
 
 def _run_pipeline(args):
@@ -369,7 +370,7 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     every record is one line, and each fund id appears once. Blank lines are
     skipped; error messages name the file's own line numbers."""
     records: list[tuple[int, list[str]]] = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         lineno = 1
         try:

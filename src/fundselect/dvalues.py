@@ -52,7 +52,7 @@ from .streams import substream
 ESS_WARN_THRESHOLD = 50.0
 _LOG_2PI = math.log(2.0 * math.pi)
 _BLOCK_SIZE = 256  # factor draws per block, in the sampler and the mode screen
-_TILE_ROWS = 32  # funds per tile of a block's elementwise work (32 x 256 doubles: 64 KiB)
+_TILE_ROWS = 64  # funds per tile of a block's elementwise work (64 x 256 doubles: 128 KiB)
 
 # posterior-mode search and proposal shape
 _SCREEN_DRAWS = 2000  # prior draws screened for Newton starting points

@@ -16,6 +16,7 @@ from fundselect.backtest import (
     run_backtest,
 )
 from fundselect.errors import ConfigError, DataError, FitFailedError
+from fundselect.panel import ReturnTable
 from fundselect.simlab import planted_panel
 
 
@@ -87,29 +88,47 @@ def test_track_rejects_length_mismatch():
 # monthly return bookkeeping
 
 
+def _table(by_fund):
+    """A ReturnTable holding the rows of {fund: {date: ret}}, NaN elsewhere."""
+    dates = sorted({date for rows in by_fund.values() for date in rows})
+    funds = sorted(by_fund)
+    matrix = np.full((len(dates), len(funds)), np.nan)
+    for j, fund in enumerate(funds):
+        for date, ret in by_fund[fund].items():
+            matrix[dates.index(date), j] = ret
+    return ReturnTable(tuple(dates), tuple(funds), matrix)
+
+
 def test_month_return_equal_weights_present_funds():
-    by_fund = {"a": {"2005-01": 0.02}, "b": {"2005-01": 0.04}}
-    got = _month_return(["a", "b"], "2005-01", by_fund, None, "hold-cash")
+    table = _table({"a": {"2005-01": 0.02}, "b": {"2005-01": 0.04}})
+    got = _month_return(["a", "b"], "2005-01", table, None, "hold-cash")
     assert got == pytest.approx(0.03, abs=1e-15)
 
 
 def test_month_return_renormalizes_over_missing_and_sentinel():
-    by_fund = {
-        "a": {"2005-01": 0.02},
-        "b": {},  # no row that month
-        "c": {"2005-01": 0.0},  # the missing-data sentinel
-    }
-    got = _month_return(["a", "b", "c"], "2005-01", by_fund, None, "hold-cash")
+    table = _table({
+        "a": {"2005-01": 0.02, "2005-02": 0.01},
+        "b": {"2005-02": 0.03},  # no row that month
+        "c": {"2005-01": 0.0, "2005-02": 0.05},  # the missing-data sentinel
+    })
+    assert np.isnan(table.matrix[0, 1])
+    got = _month_return(["a", "b", "c"], "2005-01", table, None, "hold-cash")
     assert got == pytest.approx(0.02, abs=1e-15)
+    got = _month_return(["c", "b"], "2005-02", table, None, "hold-cash")
+    assert got == pytest.approx(0.04, abs=1e-15)
 
 
 def test_month_return_empty_book_falls_back():
-    assert _month_return([], "2005-01", {}, None, "hold-cash") == 0.0
+    empty = _table({})
+    assert _month_return([], "2005-01", empty, None, "hold-cash") == 0.0
     bench = {"2005-01": 0.007}
-    got = _month_return([], "2005-01", {}, bench, "hold-index")
+    got = _month_return([], "2005-01", empty, bench, "hold-index")
     assert got == 0.007
     with pytest.raises(DataError, match="missing month"):
-        _month_return([], "2005-02", {}, bench, "hold-index")
+        _month_return([], "2005-02", empty, bench, "hold-index")
+    # a book whose every fund lacks the month falls back too
+    table = _table({"a": {"2005-02": 0.01}, "b": {"2005-01": 0.0}})
+    assert _month_return(["a", "b"], "2005-01", table, bench, "hold-index") == 0.007
 
 
 def test_benchmark_parser_rejects_malformed_files(tmp_path):

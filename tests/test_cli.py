@@ -416,6 +416,41 @@ def test_dvalue_file_errors_name_the_physical_line(tmp_path, body, expect):
     assert str(info.value) == f"{path}{expect}"
 
 
+def _with_bad_byte(src, dst, line):
+    """Copy `src` to `dst` with a 0xff byte put into line `line`."""
+    lines = Path(src).read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+    dst.write_bytes(b"\n".join(lines))
+    return str(dst)
+
+
+@pytest.mark.parametrize("which,line", [("returns", 4000), ("factors", 3), ("benchmark", 2),
+                                        ("dvalues", 4)])
+def test_non_utf8_input_is_a_data_error(which, line, panel_files, dvalue_csv, tmp_path, capsys):
+    """A byte that is not UTF-8, in any input file, exits 3 naming the file
+    and its line, and leaves no --out. The returns file's bad byte lies
+    beyond the reader's first chunk."""
+    bench = tmp_path / "bench.csv"
+    bench.write_text("date,ret\n" + "".join(f"{y}-{m:02d},0.001\n"
+                                            for y in range(2000, 2007) for m in range(1, 13)))
+    files = {"returns": panel_files["returns"], "factors": panel_files["factors"],
+             "benchmark": str(bench), "dvalues": dvalue_csv}
+    files[which] = bad = _with_bad_byte(files[which], tmp_path / f"bad-{which}.csv", line)
+    out = tmp_path / "out"
+    if which == "dvalues":
+        argv = ["select", "--dvalues", bad]
+    elif which == "benchmark":
+        argv = ["backtest", "--returns", files["returns"], "--factors", files["factors"],
+                "--benchmark", bad, "--fallback", "hold-index", "--start-year", "2005",
+                "--end-year", "2005", "--window-years", "5"]
+    else:
+        argv = ["dvalues", "--returns", files["returns"], "--factors", files["factors"],
+                "--window", WINDOW]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"[data-error] {bad}:{line}: not UTF-8 text\n"
+    assert not out.exists()
+
+
 # Single-line fund ids without surrounding whitespace, which the reader strips.
 _FUND_IDS = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=12

@@ -1,12 +1,14 @@
 """Ingestion, cleaning, and the four-factor alpha regression."""
 
 import csv
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fundselect import panel as panel_module
 from fundselect.errors import DataError, NumericalError
 from fundselect.panel import (
     FactorSeries,
@@ -447,3 +449,136 @@ def test_factors_parser_names_the_line_of_a_bad_date(tmp_path, date, expect):
     with pytest.raises(DataError) as info:
         _parse_factors_csv(str(path))
     assert str(info.value) == f"{path}{expect}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    records=st.lists(st.one_of(
+        st.tuples(
+            st.sampled_from(["2001-01", "2001-02", " 2001-03", "2001-13"]),
+            st.sampled_from(["A", "B", " C", "D\x0bE", "F\x85G", "H I", 'J, "j"']),
+            st.sampled_from(["0.01", "-0.5", " 1e-3", "0.0", "x"]),
+        ).map(lambda row: ",".join(f'"{c.replace(chr(34), 2 * chr(34))}"' if '"' in c or "," in c
+                                   else c for c in row)),
+        st.sampled_from(["", " ", "2001-04,A"]),
+    ), max_size=12),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=13, max_size=13),
+    last_end=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, 7, 64, 1 << 16]),
+)
+def test_returns_reader_splits_records_where_csv_reader_does(
+        tmp_path_factory, records, ends, last_end, chunk):
+    """Records end at \\r\\n, \\r or \\n, and nowhere else (not at the other
+    breaks str.splitlines knows), whatever the size of the chunks the file
+    is read in and whether a quote hands the records to csv.reader."""
+    path = tmp_path_factory.mktemp("ret") / "returns.csv"
+    text = "".join(r + e for r, e in zip(["date,fund_id,ret", *records], ends))
+    with open(path, "w", newline="") as fh:
+        fh.write(text if last_end else text.rstrip("\r\n"))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(panel_module, "_CHUNK_CHARS", chunk)
+        m.setattr(panel_module, "_CSV_BATCH", 3)
+        got = _outcome(_parse_returns_csv, str(path))
+    assert got == _outcome(_reference_parse_returns_csv, str(path))
+
+
+def test_return_table_is_a_month_by_fund_matrix(tmp_path):
+    """Sorted axes, one cell per fund and month of the file, NaN where the
+    file has no row; the Mapping view reads the rows back."""
+    path = tmp_path / "returns.csv"
+    path.write_text("date,fund_id,ret\n2001-03,B,0.3\n2001-01,B,0.1\n2001-01,A,-0.2\n"
+                    "2001-02,A,0.0\n")
+    table = _parse_returns_csv(str(path))
+    assert table.dates == ("2001-01", "2001-02", "2001-03")
+    assert table.fund_ids == ("A", "B")
+    np.testing.assert_array_equal(table.matrix, [[-0.2, 0.1], [0.0, np.nan], [np.nan, 0.3]])
+    assert table["B"] == {"2001-01": 0.1, "2001-03": 0.3}
+    assert len(table) == 2 and list(table) == ["A", "B"]
+    assert sum(len(v) for v in table.values()) == 4
+
+
+def test_return_table_survives_pickling(tmp_path):
+    """Backtest jobs carry the table to pool workers by pickle."""
+    path = tmp_path / "returns.csv"
+    path.write_text('date,fund_id,ret\n2001-01,"F, 1",0.1\n2001-02,G,0.2\n2001-03,"F, 1",0.0\n')
+    table = _parse_returns_csv(str(path))
+    back = pickle.loads(pickle.dumps(table))
+    assert back == table
+    assert (back.dates, back.fund_ids) == (table.dates, table.fund_ids)
+    np.testing.assert_array_equal(back.matrix, table.matrix)  # NaN where NaN
+    assert (back.row_of, back.col_of) == (table.row_of, table.col_of)
+
+
+def test_window_month_that_no_fund_reports_drops_every_fund(tmp_path):
+    """A window month missing from the whole file leaves every fund
+    incomplete."""
+    months = month_range("2010-01", "2010-12")
+    rows = [f"{m},{f},0.01" for m in months if m != "2010-05" for f in ("A", "B")]
+    returns_csv, factors_csv = _write_files(tmp_path, rows, _factor_rows(months))
+    with pytest.raises(DataError, match=r"dropped 0 zero-sentinel, 2 incomplete"):
+        _load(returns_csv, factors_csv, ("2010-01", "2010-12"))
+
+
+@pytest.mark.parametrize("reader", ["returns", "factors"])
+def test_dates_take_ascii_digits_only(tmp_path, reader):
+    """A date in other Unicode digits is a bad date on its line, not a month
+    that no window holds."""
+    path = tmp_path / f"{reader}.csv"
+    if reader == "returns":
+        path.write_text("date,fund_id,ret\n2001-01,A,0.1\n٢٠٠١-١٢,A,0.2\n",
+                        encoding="utf-8")
+        parse = _parse_returns_csv
+    else:
+        path.write_text("date,mkt_rf,smb,hml,mom,rf\n2001-01,0,0,0,0,0\n"
+                        "٢٠٠١-١٢,0,0,0,0,0\n", encoding="utf-8")
+        parse = _parse_factors_csv
+    with pytest.raises(DataError) as info:
+        parse(str(path))
+    assert str(info.value) == (
+        f"{path}:3: bad date '٢٠٠١-١٢': expected YYYY-MM")
+    with pytest.raises(DataError, match="expected YYYY-MM"):
+        month_index("٢٠٠١-١٢")
+
+
+def _reference_assemble(by_fund, months):
+    """The dict-walking window assembly the matrix slice replaced: the
+    sorted funds with every window month present and none at 0.0."""
+    kept, zero, incomplete = [], [], []
+    for fund in sorted(by_fund):
+        vals = [by_fund[fund].get(m) for m in months]
+        if None in vals:
+            incomplete.append(fund)
+        elif 0.0 in vals:
+            zero.append(fund)
+        else:
+            kept.append((fund, vals))
+    return kept, zero, incomplete
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 27),
+                                st.sampled_from([0.0, -0.0, 0.01, -0.02, 0.5e-300])),
+                      max_size=120),
+       start=st.integers(0, 16))
+def test_assemble_window_matches_the_dict_walk(tmp_path_factory, cells, start):
+    """The window cut from the matrix keeps, drops and orders funds as the
+    per-fund dict walk does, and its returns are the file's values bit for
+    bit, in C order."""
+    months = month_range("2001-01", "2003-04")  # 28 months
+    path = tmp_path_factory.mktemp("win") / "returns.csv"
+    rows = {(f"F{f}", months[t]): ret for f, t, ret in cells}
+    path.write_text("date,fund_id,ret\n"
+                    + "".join(f"{d},{f},{r!r}\n" for (f, d), r in rows.items()))
+    table = _parse_returns_csv(str(path))
+    window = months[start:start + 12]
+    by_date = {m: (np.zeros(4), 0.0) for m in months}
+    kept, zero, incomplete = _reference_assemble(dict(table.items()), window)
+    if not kept:
+        with pytest.raises(DataError, match="no eligible funds"):
+            assemble_window(table, by_date, (window[0], window[-1]))
+        return
+    panel, _, log = assemble_window(table, by_date, (window[0], window[-1]))
+    assert log == {"dropped_zero": zero, "dropped_incomplete": incomplete, "retained": len(kept)}
+    assert panel.fund_ids == tuple(f for f, _ in kept)
+    assert panel.returns.flags["C_CONTIGUOUS"]
+    assert panel.returns.tobytes() == np.column_stack([v for _, v in kept]).tobytes()

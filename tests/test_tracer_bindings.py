@@ -11,6 +11,7 @@ import pytest
 
 from fundselect.dependence import dependence_from_correlation
 from fundselect.mixture import _TV_DRAWS, MixtureParams, fit_mixture, simulate_z
+from fundselect.panel import _parse_returns_csv
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,3 +58,14 @@ def test_traced_fit_times_the_winners_tv(tracer, coarse_grids):
     metrics = tracer.layer_metrics(spans.spans)
     assert metrics["mixture.simulate_calls"] == _TV_DRAWS
     assert metrics["mixture.score_s"] > 0.0
+
+
+def test_parsed_rows_counts_the_data_rows_of_a_table(tracer, tmp_path):
+    """`panel.rows` reads the returns table through its Mapping view: one
+    per data row, blank lines and the header not counted."""
+    path = tmp_path / "returns.csv"
+    rows = [f"2001-{m:02d},{fund},0.01" for m in range(1, 13) for fund in ("A", '"B, b"', "C")
+            if (m, fund) != (5, "C")]
+    path.write_text("date,fund_id,ret\n" + "\n".join(rows[:10]) + "\n\n  \n"
+                    + "\n".join(rows[10:]) + "\n")
+    assert tracer._parsed_rows(_parse_returns_csv(str(path))) == {"rows": len(rows)} == {"rows": 35}
