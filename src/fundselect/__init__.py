@@ -5,50 +5,43 @@ alphas, extract the cross-sectional dependence structure, fit a three-part
 mixture prior to the alpha statistics, compute posterior d-values by Monte
 Carlo, and select funds with FDR-style guarantees. `simlab` and `backtest`
 wrap the pipeline in synthetic studies and a rolling trading strategy.
+
+The exports below are lazy (PEP 562): `import fundselect` loads no
+submodule, so no NumPy, and each name imports its submodule on first use.
+The CLI relies on this to tell OpenBLAS its thread count before NumPy
+loads it (`cli`).
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .backtest import BacktestConfig, PortfolioTrack, rank_compare, run_backtest
-from .dependence import DependenceModel, build_dependence, dependence_from_correlation
-from .dvalues import (
-    DValueReport,
-    component_mass_nonnegative,
-    component_mass_nonpositive,
-    compute_dvalues,
-    local_fdr,
-)
-from .errors import ConfigError, DataError, FitFailedError, FundselectError, NumericalError
-from .mixture import (
-    FitDiagnostics,
-    GridConfig,
-    MixtureParams,
-    PooledMoments,
-    fit_mixture,
-    lad_regress,
-    pooled_moments,
-    simulate_z,
-    solve_moments,
-    total_variation,
-)
-from .panel import (
-    AlphaEstimates,
-    FactorSeries,
-    ReturnPanel,
-    carhart_fit,
-    month_range,
-)
-from .selection import (
-    SelectionResult,
-    bh_select,
-    one_sided_pvalues,
-    optimal_decision,
-    select_fdr_stepup,
-    select_unskilled,
-    storey_select,
-)
-from .simlab import SimMetrics, SimSetting, fdp_fnp, generate_panel, run_sim_study
-from .streams import substream
+_EXPORTS = {
+    "backtest": ("BacktestConfig", "PortfolioTrack", "rank_compare", "run_backtest"),
+    "dependence": ("DependenceModel", "build_dependence", "dependence_from_correlation"),
+    "dvalues": ("DValueReport", "component_mass_nonnegative", "component_mass_nonpositive",
+                "compute_dvalues", "local_fdr"),
+    "errors": ("ConfigError", "DataError", "FitFailedError", "FundselectError", "NumericalError"),
+    "mixture": ("FitDiagnostics", "GridConfig", "MixtureParams", "PooledMoments", "fit_mixture",
+                "lad_regress", "pooled_moments", "simulate_z", "solve_moments",
+                "total_variation"),
+    "panel": ("AlphaEstimates", "FactorSeries", "ReturnPanel", "carhart_fit", "month_range"),
+    "selection": ("SelectionResult", "bh_select", "one_sided_pvalues", "optimal_decision",
+                  "select_fdr_stepup", "select_unskilled", "storey_select"),
+    "simlab": ("SimMetrics", "SimSetting", "fdp_fnp", "generate_panel", "run_sim_study"),
+    "streams": ("substream",),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import the submodule that exports `name` and cache the name here."""
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AlphaEstimates",

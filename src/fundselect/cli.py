@@ -26,6 +26,13 @@ import os
 import platform
 import sys
 
+# One BLAS thread per process (simlab docstring), told to OpenBLAS before
+# NumPy loads it, so that it starts no second thread in this process or in the
+# pool workers forked from it. `main()` sets the loaded libraries again, for a
+# caller that loaded NumPy first.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__

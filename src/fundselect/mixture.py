@@ -13,8 +13,10 @@ searches the grid (m, nu0, tau1_sq, tau2_sq) in three stages:
    the de-factored, de-centered statistics give four pooled moments; one
    stacked variable-projection solve (`_solve_moment_batch`: the weights in
    closed form, Gauss-Newton on the two slab offsets) inverts every cell's
-   moment system at every variance pair. The result is one flat table of
-   candidate priors in lexical grid order, with a mask of the feasible ones.
+   moment system at every variance pair, save the cells whose second moment
+   lies too far below eta_bar for any valid root. The result is one flat
+   table of candidate priors in lexical grid order, with a mask of the
+   feasible ones.
 2. Scores (`_score_candidates`). Each feasible candidate is scored by the
    composite likelihood of the de-factored statistics h = z - C v_hat: the
    mean negative log-likelihood under sum_c pi_c N(nu_c, tau_c + eta_i^2),
@@ -52,6 +54,7 @@ _SOLVE_ROWS = 8192  # rows (cell x variance pair x start) iterated together
 # _TRIAL_CELLS (row, length) pairs.
 _STEP_LENGTHS = np.ldexp(1.0, -np.arange(30))
 _TRIAL_CELLS = 4096
+_SCORE_ROWS = 16  # candidates scored together by `_score_candidates`
 # One row per grid point of `FitDiagnostics.grid_trace`, score NaN where infeasible.
 _TRACE_DTYPE = np.dtype([("m", float), ("nu0", float), ("tau1_sq", float), ("tau2_sq", float),
                          ("feasible", bool), ("score", float)])
@@ -529,6 +532,7 @@ def _grid_candidates(
     n_nu0 = len(grids.nu0_grid)
     n_cells = len(grids.m_grid) * n_nu0
 
+    eta_bar, eta4_bar = float(np.mean(dep.eta_sq)), float(np.mean(dep.eta_sq**2))
     v_hats = []
     targets = np.full((n_cells, 4), np.nan)
     solvable = np.zeros(n_cells, dtype=bool)
@@ -553,14 +557,15 @@ def _grid_candidates(
         for ni, nu0 in enumerate(grids.nu0_grid):
             mom = pooled_moments(z - cv - nu0, dep.eta_sq)
             targets[mi * n_nu0 + ni] = (mom.m1, mom.m2, mom.m3, mom.m4)
-            solvable[mi * n_nu0 + ni] = True
+            # A valid root's weights are 0 or >= _PI_FLOOR, so its model m2 is
+            # eta_bar plus nonnegative terms, never below eta_bar in floating
+            # point: a target this far below eta_bar has no valid row.
+            solvable[mi * n_nu0 + ni] = not eta_bar - mom.m2 >= _RESID_TOL
 
     feasible = np.zeros((n_cells, tau1_arr.size), dtype=bool)
     sols = np.full((n_cells, tau1_arr.size, 4), np.nan)
     feasible[solvable], sols[solvable] = _solve_moment_batch(
-        targets[solvable], tau1_arr, tau2_arr,
-        float(np.mean(dep.eta_sq)), float(np.mean(dep.eta_sq**2)),
-    )
+        targets[solvable], tau1_arr, tau2_arr, eta_bar, eta4_bar)
     sols = sols.reshape(-1, 4)
     nu0 = np.repeat(np.tile(np.asarray(grids.nu0_grid, dtype=float), len(grids.m_grid)),
                     tau1_arr.size)
@@ -574,22 +579,44 @@ def _score_candidates(z: np.ndarray, dep: DependenceModel, v_hats: list[np.ndarr
                       rows: np.ndarray, feasible: np.ndarray) -> np.ndarray:
     """The score of each candidate row (module docstring, stage 2), NaN
     where it is infeasible. The spike, a point mass, has no density where
-    eta_i^2 = 0. Rows are scored one at a time: a (rows, p) block per m
-    would double the fit's peak memory."""
+    eta_i^2 = 0. Feasible rows are scored `_SCORE_ROWS` at a time, each block
+    within one m so that it shares one h, in buffers allocated once: a
+    (rows, p) array per m would double the fit's peak memory. Every element
+    goes through the same operations in the same order as a row scored alone,
+    so each score is the same bits."""
     eta_sq = dep.eta_sq
-    hs = [z - dep.C @ v_hat for v_hat in v_hats]
-    per_m = len(rows) // len(hs)
+    spike_log_norm, no_spike = np.log(2.0 * np.pi * eta_sq), eta_sq == 0.0
+    per_m = len(rows) // len(v_hats)
     scores = np.full(len(rows), np.nan)
-    for j in np.flatnonzero(feasible).tolist():
-        pi0, pi1, pi2, nu0, nu1, nu2, t1, t2 = rows[j].tolist()
-        h = hs[j // per_m]
-        logs = [np.log(pi) - 0.5 * (np.log(2.0 * np.pi * var) + (h - nu) ** 2 / var)
-                for pi, nu, var in ((pi0, nu0, eta_sq), (pi1, nu1, t1 + eta_sq),
-                                    (pi2, nu2, t2 + eta_sq))]
-        logs[0][eta_sq == 0.0] = -np.inf
-        top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
-        top[top == -np.inf] = 0.0  # no component has density here: log f = -inf
-        scores[j] = -np.mean(np.log(sum(np.exp(c - top) for c in logs)) + top)
+    logs = np.empty((3, _SCORE_ROWS, eta_sq.size))
+    var, work = np.empty((2, _SCORE_ROWS, eta_sq.size))
+    feasible_rows = np.flatnonzero(feasible)
+    cuts = np.searchsorted(feasible_rows, per_m * np.arange(1, len(v_hats)))
+    for v_hat, in_m in zip(v_hats, np.split(feasible_rows, cuts)):
+        h = z - dep.C @ v_hat
+        for lo in range(0, in_m.size, _SCORE_ROWS):
+            block = in_m[lo : lo + _SCORE_ROWS]
+            k = block.size
+            params = rows[block].T[:, :, None]  # (8, k, 1) in MixtureParams' field order
+            pi, nu, tau = params[:3], params[3:6], params[6:]
+            lg, vr, wk = logs[:, :k], var[:k], work[:k]
+            for c in range(3):
+                # log pi - 0.5 * (log(2 pi var) + (h - nu)^2 / var), var = tau + eta^2
+                if c == 0:
+                    v, log_norm = eta_sq, spike_log_norm
+                else:
+                    v = np.add(tau[c - 1], eta_sq, out=vr)
+                    log_norm = np.log(np.multiply(2.0 * np.pi, v, out=wk), out=wk)
+                sq = np.square(np.subtract(h, nu[c], out=lg[c]), out=lg[c])
+                np.add(log_norm, np.divide(sq, v, out=sq), out=wk)
+                np.subtract(np.log(pi[c]), np.multiply(0.5, wk, out=wk), out=lg[c])
+            lg[0][:, no_spike] = -np.inf
+            top = np.maximum(np.maximum(lg[0], lg[1], out=wk), lg[2], out=wk)
+            top[top == -np.inf] = 0.0  # no component has density here: log f = -inf
+            total = np.exp(np.subtract(lg[0], top, out=vr), out=vr)
+            for c in (1, 2):
+                total += np.exp(np.subtract(lg[c], top, out=lg[c]), out=lg[c])
+            scores[block] = -np.mean(np.add(np.log(total, out=total), top, out=total), axis=1)
     return scores
 
 

@@ -194,15 +194,17 @@ class ReturnTable(Mapping):
 def _screen(nfields: np.ndarray, first_field, first: int):
     """Positions of the 3-field records of a batch, the first on line
     `first`, that precede its first bad record; and that record's (line,
-    field count), or None. A record of at most one blank field is a blank
-    line and is skipped; `first_field(k)` is record k's first field."""
+    problem), or None. A record of at most one blank field is a blank line
+    and is skipped; `first_field(k)` is record k's first field."""
     blank, stop = [], len(nfields)
     for k in np.flatnonzero(nfields != 3).tolist():
         if nfields[k] > 1 or first_field(k).strip():
             stop = k
             break
         blank.append(k)
-    bad = (first + stop, int(nfields[stop])) if stop < len(nfields) else None
+    bad = None
+    if stop < len(nfields):
+        bad = (first + stop, f"expected 3 fields, got {nfields[stop]}")
     return np.delete(np.arange(stop), blank), bad
 
 
@@ -219,10 +221,12 @@ def _split_batch(text: str, n: int, first: int):
     return first + keep, cells[0::3], cells[1::3], cells[2::3], bad
 
 
-def _csv_batch(rows: list[list[str]], first: int):
-    """Columns of csv.reader rows, the first on line `first`."""
+def _csv_batch(rows: list[list[str]], first: int, error=None):
+    """Columns of csv.reader rows, the first on line `first`; `error` is the
+    (line, problem) csv.reader raised after the last of them, if it did."""
     keep, bad = _screen(np.fromiter(map(len, rows), np.intp, len(rows)),
                         lambda k: rows[k][0] if rows[k] else "", first)
+    bad = bad or error
     dates, funds, rets = zip(*[rows[k] for k in keep]) if len(keep) else ((), (), ())
     return first + keep, dates, funds, rets, bad
 
@@ -230,20 +234,31 @@ def _csv_batch(rows: list[list[str]], first: int):
 def _return_batches(fh, lineno: int):
     """Batches of the returns file's records from `lineno` on: (line numbers,
     date fields, fund fields, return fields, first bad record as (line,
-    field count) or None). The file is read in chunks. Records end at
+    problem) or None). The file is read in chunks. Records end at
     \\r\\n, \\r or \\n, where csv.reader on a file opened with newline=""
     ends them; text without a quote is split by str.split, and from the
-    first chunk that holds a quote on, csv.reader takes the records over."""
+    first chunk that holds a quote on, csv.reader takes the records over. A
+    record csv.reader refuses (a field over its size limit) ends the last
+    batch as its bad record."""
     pending = ""  # the partial record at the end of the text read so far
     while True:
         chunk = fh.read(_CHUNK_CHARS)
         if '"' in chunk:
             lines = io.StringIO(pending + chunk + fh.readline(), newline="")
             reader = csv.reader(itertools.chain(lines, fh))
-            while rows := list(itertools.islice(reader, _CSV_BATCH)):
-                yield _csv_batch(rows, lineno)
+            start = lineno
+            while True:
+                rows, error = [], None
+                try:
+                    for row in itertools.islice(reader, _CSV_BATCH):
+                        rows.append(row)
+                except csv.Error as exc:
+                    error = (start + reader.line_num - 1, str(exc))
+                if rows or error:
+                    yield _csv_batch(rows, lineno, error)
+                if error or len(rows) < _CSV_BATCH:
+                    return
                 lineno += len(rows)
-            return
         text = pending + chunk
         # a final \r may be the first half of a \r\n
         cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1 if chunk else len(text)
@@ -258,6 +273,16 @@ def _return_batches(fh, lineno: int):
             lineno += n
         if not chunk:
             return
+
+
+def _csv_rows(fh, path: str):
+    """csv.reader's records of `fh`; a record it refuses (a field over its
+    size limit) raises DataError naming its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _float_or_nan(text: str) -> float:
@@ -322,8 +347,7 @@ def _parse_returns_csv(path: str) -> ReturnTable:
                             f"{month // 12:04d}-{month % 12 + 1:02d}")
 
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(_csv_rows(fh, path), None)
         if header is None or [c.strip() for c in header[:3]] != ["date", "fund_id", "ret"]:
             raise DataError(f"{path}: expected header 'date,fund_id,ret'")
         for lines, dates, funds, rets, bad in _return_batches(fh, 2):
@@ -351,7 +375,7 @@ def _parse_returns_csv(path: str) -> ReturnTable:
                 raise DataError(f"{path}:{lines[k]}: {_row_problem(dates[k], funds[k], rets[k])}")
             if bad is not None:
                 first_repeat(bad[0])
-                raise DataError(f"{path}:{bad[0]}: expected 3 fields, got {bad[1]}")
+                raise DataError(f"{path}:{bad[0]}: {bad[1]}")
 
     _, months, codes, vals = columns()
     axis, rows = np.unique(months, return_inverse=True)
@@ -373,7 +397,7 @@ def _parse_monthly_csv(path: str, columns: tuple[str, ...]) -> dict[str, list[fl
     expected = ["date", *columns]
     out: dict[str, list[float]] = {}
     with open_text(path) as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[: len(expected)]] != expected:
             raise DataError(f"{path}: expected header '{','.join(expected)}'")

@@ -12,7 +12,10 @@ requested workers, and sets every OpenBLAS loaded in each to one thread. The
 package imports no SciPy, so that is NumPy's OpenBLAS alone unless a caller
 has loaded SciPy's too. With one worker the jobs run in the calling
 process, also on one thread, and the caller's thread counts come back
-afterwards; the CLI sets its own process the same way when it starts. No
+afterwards. The CLI tells OpenBLAS before NumPy loads (OPENBLAS_NUM_THREADS),
+so neither its process nor the workers forked from it start a second BLAS
+thread, and sets the loaded libraries again when `main()` starts, for a
+caller that loaded NumPy first. No
 BLAS call in the pipeline gets faster on two threads (the largest, the thin
 SVD of the dependence model at p=2000, T=240, takes longer), while a second
 thread spins beside every small call, and with as many processes as cores

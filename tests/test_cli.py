@@ -424,30 +424,73 @@ def _with_bad_byte(src, dst, line):
     return str(dst)
 
 
+def _with_long_field(src, dst, line):
+    """Copy `src` to `dst` with the second field of line `line` replaced by
+    a quoted field of 200,000 characters."""
+    lines = Path(src).read_text().split("\n")
+    cells = lines[line - 1].split(",")
+    cells[1] = '"' + "x" * 200_000 + '"'
+    lines[line - 1] = ",".join(cells)
+    dst.write_text("\n".join(lines))
+    return str(dst)
+
+
+def _input_files(panel_files, dvalue_csv, tmp_path):
+    """Every input file a run can read: the panel's returns and factors, a
+    benchmark over 2000-2006 and a d-value file."""
+    bench = tmp_path / "bench.csv"
+    bench.write_text("date,ret\n" + "".join(f"{y}-{m:02d},0.001\n"
+                                            for y in range(2000, 2007) for m in range(1, 13)))
+    return {"returns": panel_files["returns"], "factors": panel_files["factors"],
+            "benchmark": str(bench), "dvalues": dvalue_csv}
+
+
+def _argv_reading(which, files):
+    """A run that reads files[which]: select for the d-value file, a
+    backtest for the benchmark, else dvalues."""
+    if which == "dvalues":
+        return ["select", "--dvalues", files["dvalues"]]
+    if which == "benchmark":
+        return ["backtest", "--returns", files["returns"], "--factors", files["factors"],
+                "--benchmark", files["benchmark"], "--fallback", "hold-index",
+                "--start-year", "2005", "--end-year", "2005", "--window-years", "5"]
+    return ["dvalues", "--returns", files["returns"], "--factors", files["factors"],
+            "--window", WINDOW]
+
+
 @pytest.mark.parametrize("which,line", [("returns", 4000), ("factors", 3), ("benchmark", 2),
                                         ("dvalues", 4)])
 def test_non_utf8_input_is_a_data_error(which, line, panel_files, dvalue_csv, tmp_path, capsys):
     """A byte that is not UTF-8, in any input file, exits 3 naming the file
     and its line, and leaves no --out. The returns file's bad byte lies
     beyond the reader's first chunk."""
-    bench = tmp_path / "bench.csv"
-    bench.write_text("date,ret\n" + "".join(f"{y}-{m:02d},0.001\n"
-                                            for y in range(2000, 2007) for m in range(1, 13)))
-    files = {"returns": panel_files["returns"], "factors": panel_files["factors"],
-             "benchmark": str(bench), "dvalues": dvalue_csv}
+    files = _input_files(panel_files, dvalue_csv, tmp_path)
     files[which] = bad = _with_bad_byte(files[which], tmp_path / f"bad-{which}.csv", line)
     out = tmp_path / "out"
-    if which == "dvalues":
-        argv = ["select", "--dvalues", bad]
-    elif which == "benchmark":
-        argv = ["backtest", "--returns", files["returns"], "--factors", files["factors"],
-                "--benchmark", bad, "--fallback", "hold-index", "--start-year", "2005",
-                "--end-year", "2005", "--window-years", "5"]
-    else:
-        argv = ["dvalues", "--returns", files["returns"], "--factors", files["factors"],
-                "--window", WINDOW]
-    assert main([*argv, "--out", str(out)]) == 3
+    assert main([*_argv_reading(which, files), "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"[data-error] {bad}:{line}: not UTF-8 text\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which,line", [
+    pytest.param("returns", 1, id="returns-header"),
+    pytest.param("returns", 4000, id="returns-quoted"),
+    pytest.param("factors", 3, id="factors"),
+    pytest.param("benchmark", 2, id="benchmark"),
+])
+def test_oversized_csv_field_is_a_data_error(which, line, panel_files, dvalue_csv, tmp_path,
+                                             capsys):
+    """A field longer than csv.reader's size limit, wherever csv.reader
+    reads it (the returns header, a quoted field of the returns file beyond
+    the reader's first chunk, the factor and benchmark files), exits 3
+    naming the file and its line, and leaves no --out."""
+    files = _input_files(panel_files, dvalue_csv, tmp_path)
+    files[which] = long = _with_long_field(files[which], tmp_path / f"long-{which}.csv", line)
+    out = tmp_path / "out"
+    assert main([*_argv_reading(which, files), "--out", str(out)]) == 3
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == (
+        f"[data-error] {long}:{line}: field larger than field limit ({limit})\n")
     assert not out.exists()
 
 
@@ -614,6 +657,38 @@ def test_cli_import_does_not_load_scipy_special():
     subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), check=True)
 
 
+def test_package_import_loads_no_numpy():
+    """The package's exports are lazy: importing it loads no NumPy, and a
+    name imports its submodule on first use."""
+    code = ("import sys, fundselect; assert 'numpy' not in sys.modules, 'loaded'; "
+            "fundselect.fit_mixture; assert 'numpy' in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), check=True)
+
+
+# Reports the threads of a fresh process that imported the CLI, then those of
+# each job's process on a pool of two.
+_TASKS_PROBE = """
+import json, os
+import fundselect.cli
+from fundselect import simlab
+main = len(os.listdir("/proc/self/task"))
+workers = simlab.map_jobs(os.listdir, ["/proc/self/task"] * 2, workers=2)
+print(json.dumps([main, [len(tasks) for tasks in workers]]))
+"""
+
+
+def test_cli_processes_run_one_thread():
+    """Importing the CLI tells OpenBLAS its one thread before NumPy loads it,
+    whatever OPENBLAS_NUM_THREADS the caller set: the process runs one
+    thread, and so does each pool worker forked from it."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task on this platform")
+    run = subprocess.run([sys.executable, "-c", _TASKS_PROBE],
+                         env=_subprocess_env(OPENBLAS_NUM_THREADS="2"), check=True,
+                         capture_output=True, text=True)
+    assert json.loads(run.stdout) == [1, [1, 1]]
+
+
 # Runs each argv list it is given through the CLI and reports, as JSON lines,
 # whether scipy.special is loaded: in this process after each call, and in a
 # pool worker after each replication or holding year it ran.
@@ -622,7 +697,10 @@ import json, sys
 from fundselect import backtest, cli, simlab
 
 def report(where):
-    print(json.dumps([where, "scipy.special" in sys.modules]), flush=True)
+    # one write per line: print() may send the newline as a second write, and
+    # two pool workers' lines then interleave
+    sys.stdout.write(json.dumps([where, "scipy.special" in sys.modules]) + "\\n")
+    sys.stdout.flush()
 
 def rep(args):
     out = run_one_rep(args)

@@ -773,6 +773,30 @@ def test_batched_fit_matches_per_point_reference(case, l_positive, lad_fails, em
     assert (0 in cell_counts) == empty_cell
 
 
+def test_cells_far_below_eta_bar_are_not_solved(monkeypatch):
+    """A valid root's weights are 0 or at least `_PI_FLOOR`, so its model
+    second moment is never below eta_bar: a cell whose target lies
+    `_RESID_TOL` or more below it has no valid row, and the fit does not
+    solve it. Here the statistics' variance is about 0.9 of eta_bar = 1, so
+    the cells with nu0 near their mean are skipped and the one at -0.5 is
+    solved; the outcome still equals the reference, which solves every
+    cell."""
+    dep = dependence_from_correlation(np.eye(200))
+    z = 0.95 * substream(7, "z").standard_normal(200)
+    grids = GridConfig(m_grid=(20.0, 40.0), nu0_grid=(-0.5, -0.1, 0.0), tau_grid=_BIT_TAUS)
+    solved, solve = [], mixture._solve_moment_batch
+
+    def spy(targets, *args):
+        solved.append(targets.copy())
+        return solve(targets, *args)
+
+    monkeypatch.setattr(mixture, "_solve_moment_batch", spy)
+    _assert_fits_match(z, dep, grids, 5)
+    (targets,) = solved
+    eta_bar = float(np.mean(dep.eta_sq))
+    assert len(targets) == 2 and np.all(eta_bar - targets[:, 1] < mixture._RESID_TOL)
+
+
 def test_fit_does_not_depend_on_the_seed():
     """Two seeds give the same winner and the same score at every grid
     point; the seed moves only the winner's simulated TV."""
@@ -806,6 +830,56 @@ def test_zero_idiosyncratic_share_scores_finite():
             fitted += 1
             assert all(np.isfinite(r["score"]) for r in trace if r["feasible"])
     assert fitted > 0
+
+
+def _ref_score_candidates(z, dep, v_hats, rows, feasible):
+    """`_score_candidates` one feasible row at a time, with the same
+    operations in the same order."""
+    eta_sq = dep.eta_sq
+    hs = [z - dep.C @ v_hat for v_hat in v_hats]
+    per_m = len(rows) // len(hs)
+    scores = np.full(len(rows), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in np.flatnonzero(feasible).tolist():
+            pi0, pi1, pi2, nu0, nu1, nu2, t1, t2 = rows[j].tolist()
+            h = hs[j // per_m]
+            logs = [np.log(pi) - 0.5 * (np.log(2.0 * np.pi * var) + (h - nu) ** 2 / var)
+                    for pi, nu, var in ((pi0, nu0, eta_sq), (pi1, nu1, t1 + eta_sq),
+                                        (pi2, nu2, t2 + eta_sq))]
+            logs[0][eta_sq == 0.0] = -np.inf
+            top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
+            top[top == -np.inf] = 0.0
+            scores[j] = -np.mean(np.log(sum(np.exp(c - top) for c in logs)) + top)
+    return scores
+
+
+def test_block_scores_equal_the_per_row_loop():
+    """Scoring `_SCORE_ROWS` candidates at a time gives every score the bits
+    of the per-row loop: on a panel with a fund whose idiosyncratic share is
+    0, for the fit's feasible rows and for masks with gaps, one of which
+    leaves the first m a count of rows that is no multiple of the block, so
+    that an uncut block would cross into the next m."""
+    p = 400
+    sigma = np.full((p, p), 0.3)
+    np.fill_diagonal(sigma, 1.0)
+    sigma[0, 1] = sigma[1, 0] = 1.0
+    dep = dependence_from_correlation(sigma)
+    assert np.any(dep.eta_sq == 0.0)
+    true = MixtureParams(pi0=0.1, pi1=0.7, pi2=0.2, nu0=-0.1, nu1=-0.6,
+                         nu2=1.1, tau1_sq=0.12, tau2_sq=0.12)
+    z = simulate_z(true, dep, 1)
+    grids = GridConfig(m_grid=(20.0, 40.0), nu0_grid=(-0.2, -0.1, 0.0), tau_grid=_BIT_TAUS)
+    v_hats, rows, feasible = mixture._grid_candidates(z, dep, grids)
+    per_m = len(rows) // len(v_hats)
+    index = np.arange(len(rows))
+    masks = [feasible, feasible & (index % 3 != 1), feasible & (index % 7 < 2)]
+    assert any(np.count_nonzero(mask[:per_m]) % mixture._SCORE_ROWS for mask in masks)
+    assert all(mask[:per_m].any() and mask[per_m:].any() for mask in masks)
+    for mask in masks:
+        got = mixture._score_candidates(z, dep, v_hats, rows, mask)
+        want = _ref_score_candidates(z, dep, v_hats, rows, mask)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[mask]).all() and np.isnan(got[~mask]).all()
 
 
 def test_tied_scores_go_to_the_first_feasible_point(monkeypatch):
