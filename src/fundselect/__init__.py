@@ -17,7 +17,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "backtest": ("BacktestConfig", "PortfolioTrack", "rank_compare", "run_backtest"),
+    "backtest": ("BacktestConfig", "PortfolioTrack", "run_backtest"),
     "dependence": ("DependenceModel", "build_dependence", "dependence_from_correlation"),
     "dvalues": ("DValueReport", "component_mass_nonnegative", "component_mass_nonpositive",
                 "compute_dvalues", "local_fdr"),
@@ -27,7 +27,7 @@ _EXPORTS = {
                 "total_variation"),
     "panel": ("AlphaEstimates", "FactorSeries", "ReturnPanel", "carhart_fit", "month_range"),
     "selection": ("SelectionResult", "bh_select", "one_sided_pvalues", "optimal_decision",
-                  "select_fdr_stepup", "select_unskilled", "storey_select"),
+                  "rank_compare", "select_fdr_stepup", "select_unskilled", "storey_select"),
     "simlab": ("SimMetrics", "SimSetting", "fdp_fnp", "generate_panel", "run_sim_study"),
     "streams": ("substream",),
 }

@@ -1,4 +1,4 @@
-"""Rolling annual re-selection backtest and rank-comparison diagnostics."""
+"""Rolling annual re-selection backtest."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from .errors import ConfigError, DataError, FitFailedError
 from .mixture import FitDiagnostics, GridConfig, fit_mixture
 from .panel import (ReturnTable, _parse_factors_csv, _parse_monthly_csv, _parse_returns_csv,
                     assemble_window, carhart_fit)
+from .pool import map_jobs
 from .selection import bh_select, select_fdr_stepup, storey_select
-from .simlab import map_jobs
 from .streams import substream
 
 STRATEGIES = ("dvalue", "bh", "storey")
@@ -168,7 +168,7 @@ def run_backtest(
     years ending in December of y-1.  Selection at level theta runs once per
     strategy (posterior step-up, BH, Storey); an `index` track, an empty
     book that always falls back to the benchmark, is added when a benchmark
-    file is configured. The years' holdings run through `simlab.map_jobs` on
+    file is configured. The years' holdings run through `pool.map_jobs` on
     at most `workers` processes (the first failing year raises); the
     compounding runs here, year by year. Each job carries the returns table
     (`panel.ReturnTable`: the month x fund matrix and its two axes), so a
@@ -208,56 +208,3 @@ def run_backtest(
 
     return PortfolioTrack(years=years, values=values, selections=selections, fits=fits)
 
-
-def rank_compare(
-    z: np.ndarray,
-    dvalues: np.ndarray,
-    pvalues: np.ndarray,
-    top_n: int = 50,
-) -> dict:
-    """Contrast the `top_n` funds by posterior d-value with the `top_n` by
-    one-sided p-value, dropping the overlap from both sides.
-
-    Returns per-group index lists and summary statistics of each metric inside
-    each disagreement group.
-    """
-    z = np.asarray(z, dtype=float)
-    dvalues = np.asarray(dvalues, dtype=float)
-    pvalues = np.asarray(pvalues, dtype=float)
-    p = z.shape[0]
-    if dvalues.shape != (p,) or pvalues.shape != (p,):
-        raise DataError("z, dvalues, pvalues must share one length")
-    if not 1 <= top_n <= p:
-        raise DataError(f"top_n must be in [1, {p}], got {top_n}")
-
-    by_d = np.argsort(dvalues, kind="stable")[:top_n]
-    by_p = np.argsort(pvalues, kind="stable")[:top_n]
-    shared = set(by_d.tolist()) & set(by_p.tolist())
-    d_only = [int(i) for i in by_d if int(i) not in shared]
-    p_only = [int(i) for i in by_p if int(i) not in shared]
-
-    def _stats(idx: list[int]) -> dict:
-        if not idx:
-            return {"n": 0}
-        sub_d = dvalues[idx]
-        sub_p = pvalues[idx]
-        sub_z = z[idx]
-        return {
-            "n": len(idx),
-            "d_median": float(np.median(sub_d)),
-            "d_min": float(sub_d.min()),
-            "d_max": float(sub_d.max()),
-            "p_median": float(np.median(sub_p)),
-            "p_min": float(sub_p.min()),
-            "p_max": float(sub_p.max()),
-            "z_median": float(np.median(sub_z)),
-        }
-
-    return {
-        "top_n": top_n,
-        "overlap": sorted(int(i) for i in shared),
-        "d_only": d_only,
-        "p_only": p_only,
-        "d_only_stats": _stats(d_only),
-        "p_only_stats": _stats(p_only),
-    }

@@ -19,6 +19,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -26,7 +27,7 @@ import os
 import platform
 import sys
 
-# One BLAS thread per process (simlab docstring), told to OpenBLAS before
+# One BLAS thread per process (`pool` docstring), told to OpenBLAS before
 # NumPy loads it, so that it starts no second thread in this process or in the
 # pool workers forked from it. `main()` sets the loaded libraries again, for a
 # caller that loaded NumPy first.
@@ -36,11 +37,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from . import __version__
-from .backtest import BacktestConfig, rank_compare, run_backtest
-from .dependence import build_dependence, marchenko_pastur_edge
-from .dvalues import compute_dvalues, local_fdr
 from .errors import ConfigError, DataError, NumericalError
-from .mixture import GridConfig, fit_mixture
 from .panel import (
     MIN_WINDOW_MONTHS,
     _parse_factors_csv,
@@ -50,15 +47,56 @@ from .panel import (
     open_text,
     window_months,
 )
+from .pool import _limit_blas_threads, usable_cores
 from .selection import (
     bh_select,
     one_sided_pvalues,
     optimal_decision,
+    rank_compare,
     select_fdr_stepup,
     select_unskilled,
     storey_select,
 )
-from .simlab import SimSetting, _limit_blas_threads, run_sim_study, usable_cores
+
+# The fit, sampler, study and backtest names are imported on first use (PEP
+# 562, as in the package `__init__`), so that each command loads only the
+# modules it runs: `select` and `rank-compare` none of them, `fit` and
+# `dvalues` no study or pool machinery. `main()` binds a command's names
+# before its handler runs; a name already bound, such as a wrapper or a
+# test's patch set on this module, stays.
+_LAZY = {
+    "backtest": ("BacktestConfig", "run_backtest"),
+    "dependence": ("build_dependence", "marchenko_pastur_edge"),
+    "dvalues": ("compute_dvalues", "local_fdr"),
+    "mixture": ("GridConfig", "fit_mixture"),
+    "simlab": ("SimSetting", "run_sim_study"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+_COMMAND_MODULES = {
+    "fit": ("dependence", "mixture"),
+    "dvalues": ("dependence", "dvalues", "mixture"),
+    "simulate": ("mixture", "simlab"),
+    "backtest": ("backtest", "mixture"),
+}
+
+
+def __getattr__(name: str):
+    """Import the module that exports `name` and bind the name here."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(command: str) -> None:
+    """Bind every lazy name that `command`'s handler calls and that is not
+    bound yet."""
+    for module in _COMMAND_MODULES.get(command, ()):
+        for name in _LAZY[module]:
+            if name not in globals():
+                __getattr__(name)
+
 
 _UNHASHED = {"command", "config", "out", "workers"}
 
@@ -374,8 +412,9 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     """Read a d-value CSV (our own output format, or any file with at least a
     fund_id and d_value column); a leading '# manifest:' line is skipped.
     Fields follow CSV quoting, so a quoted fund id may contain commas, but
-    every record is one line, and each fund id appears once. Blank lines are
-    skipped; error messages name the file's own line numbers."""
+    every record is one line, each fund id appears once, and a z column, where
+    there is one, holds finite numbers. Blank lines are skipped; error
+    messages name the file's own line numbers."""
     records: list[tuple[int, list[str]]] = []
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -413,6 +452,8 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
                 vals.append(float(cells[idx[name]]))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric {name}") from None
+        if "z" in numeric and not math.isfinite(numeric["z"][-1]):
+            raise DataError(f"{path}:{lineno}: non-finite z")
     cols = {name: np.asarray(vals, dtype=float) for name, vals in numeric.items()}
     d = cols["d_value"]
     if np.any(~np.isfinite(d)) or np.any(d < 0.0) or np.any(d > 1.0):
@@ -598,7 +639,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # one BLAS thread per process, pool workers included (simlab docstring)
+    # one BLAS thread per process, pool workers included (`pool` docstring)
     _limit_blas_threads(1)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, by_name = build_parser()
@@ -607,6 +648,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             args = _apply_config_file(argv, args, parser, by_name)
         ctx = _RunContext(args)
+        _bind(args.command)
         _HANDLERS[args.command](args, ctx)
         ctx.save()
     except ConfigError as exc:

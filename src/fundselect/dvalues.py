@@ -21,18 +21,20 @@ One max-shift kernel gives every density: with c_c = log pi_c + log
 N(dev; mean_c, var_c) for the spike and both slabs and top = max c,
 e_c = exp(c_c - top) and log f = log(e0 + e1 + e2) + top feed the importance
 weights and the mode search, and a posterior ratio is linear,
-sum_c e_c P_c(half) / sum_c e_c, with each slab's half probabilities from one
-normal tail, `selection._normal_tail` (NumPy alone: the package imports no
-SciPy). `local_fdr` is the same chain at unit noise without factors, and a
-closed-form mass is a component's joint density times its half probability.
+sum_c e_c P_c(half) / sum_c e_c. Both slabs' half probabilities come from one
+call of the normal tail, `selection._normal_tail` (NumPy alone: the package
+imports no SciPy), on the slabs stacked along a leading axis; each element
+runs only the Cephes branch its |q| needs. `local_fdr` is the same chain at
+unit noise without factors, and a closed-form mass is a component's joint
+density times its half probability.
 
 For each block of draws the factor contribution B W is one matrix product;
 the elementwise chain that follows (component log densities, half
 probabilities, posterior ratios) then runs on tiles of `_TILE_ROWS` funds, so
 its temporaries stay in cache. Every element goes through the same
 operations as on the whole block, and the sums over funds and draws still run
-on full (p, draws) arrays, so the results do not depend on the tile height,
-bit for bit.
+on full (p, draws) arrays, weighted in place, so the results do not depend on
+the tile height, bit for bit.
 """
 
 from __future__ import annotations
@@ -167,11 +169,12 @@ def _tile_ratios(dev, comps, params, lam):
     """log f(dev), P(mu <= 0 | dev) and P(mu >= 0 | dev) for one tile of funds
     (rows of dev) at noise variance `lam`; the ratios are 0 where f(dev) = 0."""
     (e0, e1, e2), total, logf = _shifted_weights(_component_logs(dev, comps))
-    neg1, pos1 = _half_probabilities(dev, params.nu1, params.tau1_sq, lam)
-    neg2, pos2 = _half_probabilities(dev, params.nu2, params.tau2_sq, lam)
+    slabs = (2,) + (1,) * dev.ndim  # both slabs on a leading axis, one normal tail
+    neg, pos = _half_probabilities(dev, np.reshape([params.nu1, params.nu2], slabs),
+                                   np.reshape([params.tau1_sq, params.tau2_sq], slabs), lam)
     with np.errstate(invalid="ignore"):
-        ratio_d = (e0 + e1 * neg1 + e2 * neg2) / total
-        ratio_los = ((params.nu0 == 0.0) * e0 + e1 * pos1 + e2 * pos2) / total
+        ratio_d = (e0 + e1 * neg[0] + e2 * neg[1]) / total
+        ratio_los = ((params.nu0 == 0.0) * e0 + e1 * pos[0] + e2 * pos[1]) / total
     dead = ~np.isfinite(logf)
     ratio_d[dead] = 0.0
     ratio_los[dead] = 0.0
@@ -368,7 +371,8 @@ def compute_dvalues(
             W, log_ratio = _draw_proposal(rng, nb, modes, log_alpha)
         else:
             W, log_ratio = np.zeros((0, nb)), np.zeros(nb)
-        dev = z[:, None] - (B @ W)  # p x nb : z minus factor contribution
+        dev = B @ W  # p x nb, then z minus this factor contribution
+        np.subtract(z[:, None], dev, out=dev)
         if logf is None or logf.shape[1] != nb:
             logf, ratio_d, ratio_los = (np.empty((p, nb)) for _ in range(3))
         for start in range(0, p, _TILE_ROWS):
@@ -404,8 +408,8 @@ def compute_dvalues(
         # final ratio is exactly 1.0 rather than 1 +/- a few ulp.
         s0 += float(wex.sum())
         s2 += float((wex * wex).sum())
-        sd += (ratio_d * wex).sum(axis=1)
-        sl += (ratio_los * wex).sum(axis=1)
+        sd += np.multiply(ratio_d, wex, out=ratio_d).sum(axis=1)
+        sl += np.multiply(ratio_los, wex, out=ratio_los).sum(axis=1)
 
     if not np.isfinite(run_max) or s0 <= 0.0:
         raise NumericalError(

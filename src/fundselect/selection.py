@@ -5,7 +5,8 @@ mirror for unskilled funds): a loss-optimal rule for a given false-positive /
 false-negative tradeoff, and a step-up rule that caps the conditional FDR at a
 level theta. The classical baselines consume one-sided p-values from the
 z statistics: Benjamini-Hochberg and its adaptive (null-fraction estimating)
-variant.
+variant. `rank_compare` contrasts the top funds by d-value with the top funds
+by p-value.
 """
 
 from __future__ import annotations
@@ -163,45 +164,72 @@ def _horner(x, coefs):
     return out
 
 
+def _rational(x, num, den):
+    """num(x) / den(x), on one new array."""
+    out = _horner(x, num)
+    out /= _horner(x, den)
+    return out
+
+
+def _scaled_erfc(ax):
+    """exp(x^2) erfc(x) at x = ax >= 1 (or NaN): P/Q below 8, R/S from 8 on,
+    each on its own elements only."""
+    big = ax >= 8.0
+    if not big.any():
+        return _rational(ax, _ERFC_P, _ERFC_Q)
+    out = np.empty_like(ax)
+    mid, big = np.flatnonzero(~big), np.flatnonzero(big)
+    out[mid] = _rational(ax.take(mid), _ERFC_P, _ERFC_Q)
+    out[big] = _rational(ax.take(big), _ERFC_R, _ERFC_S)
+    return out
+
+
 def _normal_tail(q) -> np.ndarray:
     """Phi(-q) = erfc(x) / 2 with x = q / sqrt(2), elementwise, for any shape.
 
-    Both branches run on every element and `np.where` picks (cheaper than
-    gathering each branch's elements): 1/2 - erf(x)/2 for |x| < 1, else the
-    tail erfc(|x|) / 2, or its complement for x < 0. The tail multiplies
+    The flat input splits by |x| < 1, and each element runs one Cephes
+    branch on a compacted array: 1/2 - erf(x)/2 below, else the tail
+    erfc(|x|) / 2, or its complement for x < 0. The tail multiplies
     exp(x^2) erfc(x) by exp(-x^2) = exp(m^2 - x^2) exp(-m^2), where m is |x|
     rounded to a multiple of 1/128, as Cephes' expx2 does: m^2 is exact and
     m^2 - x^2 = (m - |x|)(m + |x|) is small, so rounding x^2 costs no relative
     accuracy far in the tail. Past |q| = 40 the tail is 0 (Phi(-q) underflows
-    from q ~ 37.5 on); NaN stays NaN.
+    from q ~ 37.5 on); NaN takes the tail branch and stays NaN. The split
+    gathers and scatters by index: a boolean mask with the branches mixed
+    costs several times as much per element.
     """
     shape = np.shape(q)
     x = np.clip(np.asarray(q, dtype=float).reshape(-1), -_TAIL_CLIP, _TAIL_CLIP)
     x *= _SQRT_HALF
-    z = x * x
-    near = _horner(z, _ERF_T)
-    near *= x
-    near /= _horner(z, _ERF_U)
-    near *= -0.5
-    near += 0.5
+    ax = np.abs(x)
+    near = ax < 1.0
+    out = np.empty_like(x)
 
-    ax = np.abs(x, out=z)
-    far = _horner(ax, _ERFC_P)
-    far /= _horner(ax, _ERFC_Q)
-    big = ax >= 8.0
-    if big.any():
-        far = np.where(big, _horner(ax, _ERFC_R) / _horner(ax, _ERFC_S), far)
+    idx = np.flatnonzero(near)
+    xn = x.take(idx)
+    z = xn * xn
+    erf = _horner(z, _ERF_T)
+    erf *= xn
+    erf /= _horner(z, _ERF_U)
+    erf *= -0.5
+    erf += 0.5
+    out[idx] = erf
+
+    idx = np.flatnonzero(~near)
+    ax = ax.take(idx)
+    tail = _scaled_erfc(ax)
     m = np.rint(ax * (1.0 / _SQUARE_STEP))
     m *= _SQUARE_STEP
     rest = m - ax  # exact
     rest *= m + ax  # m^2 - x^2, to an ulp or two
-    far *= 0.5
-    far *= np.exp(rest, out=rest)
+    tail *= 0.5
+    tail *= np.exp(rest, out=rest)
     m *= m
-    far *= np.exp(np.negative(m, out=m), out=m)
-
-    far = np.where(x < 0.0, 1.0 - far, far)
-    return np.where(ax < 1.0, near, far).reshape(shape)
+    tail *= np.exp(np.negative(m, out=m), out=m)
+    out[idx] = tail
+    below = np.flatnonzero(x <= -1.0)  # the tail's elements with x < 0
+    out[below] = 1.0 - out[below]
+    return out.reshape(shape)
 
 
 def one_sided_pvalues(z) -> np.ndarray:
@@ -251,3 +279,57 @@ def storey_select(z, theta: float) -> SelectionResult:
     pi0_hat = min(float(pi0_hat), 1.0)
     level = theta / pi0_hat if pi0_hat > 0.0 else 1.0
     return _bh_result(pvals, min(level, 1.0), theta)
+
+
+def rank_compare(
+    z: np.ndarray,
+    dvalues: np.ndarray,
+    pvalues: np.ndarray,
+    top_n: int = 50,
+) -> dict:
+    """Contrast the `top_n` funds by posterior d-value with the `top_n` by
+    one-sided p-value, dropping the overlap from both sides.
+
+    Returns per-group index lists and summary statistics of each metric inside
+    each disagreement group.
+    """
+    z = np.asarray(z, dtype=float)
+    dvalues = np.asarray(dvalues, dtype=float)
+    pvalues = np.asarray(pvalues, dtype=float)
+    p = z.shape[0]
+    if dvalues.shape != (p,) or pvalues.shape != (p,):
+        raise DataError("z, dvalues, pvalues must share one length")
+    if not 1 <= top_n <= p:
+        raise DataError(f"top_n must be in [1, {p}], got {top_n}")
+
+    by_d = np.argsort(dvalues, kind="stable")[:top_n]
+    by_p = np.argsort(pvalues, kind="stable")[:top_n]
+    shared = set(by_d.tolist()) & set(by_p.tolist())
+    d_only = [int(i) for i in by_d if int(i) not in shared]
+    p_only = [int(i) for i in by_p if int(i) not in shared]
+
+    def _stats(idx: list[int]) -> dict:
+        if not idx:
+            return {"n": 0}
+        sub_d = dvalues[idx]
+        sub_p = pvalues[idx]
+        sub_z = z[idx]
+        return {
+            "n": len(idx),
+            "d_median": float(np.median(sub_d)),
+            "d_min": float(sub_d.min()),
+            "d_max": float(sub_d.max()),
+            "p_median": float(np.median(sub_p)),
+            "p_min": float(sub_p.min()),
+            "p_max": float(sub_p.max()),
+            "z_median": float(np.median(sub_z)),
+        }
+
+    return {
+        "top_n": top_n,
+        "overlap": sorted(int(i) for i in shared),
+        "d_only": d_only,
+        "p_only": p_only,
+        "d_only_stats": _stats(d_only),
+        "p_only_stats": _stats(p_only),
+    }

@@ -12,11 +12,11 @@ from fundselect.backtest import (
     PortfolioTrack,
     _month_return,
     _parse_benchmark_csv,
-    rank_compare,
     run_backtest,
 )
 from fundselect.errors import ConfigError, DataError, FitFailedError
 from fundselect.panel import ReturnTable
+from fundselect.selection import rank_compare
 from fundselect.simlab import planted_panel
 
 

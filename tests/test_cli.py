@@ -17,7 +17,7 @@ from conftest import write_panel_csvs
 from fundselect.cli import _read_dvalue_csv, build_parser, main
 from fundselect.errors import DataError, FitFailedError
 from fundselect.selection import select_fdr_stepup
-from fundselect import simlab
+from fundselect import pool
 from fundselect.simlab import planted_panel
 
 GRID_FLAGS = [
@@ -416,6 +416,23 @@ def test_dvalue_file_errors_name_the_physical_line(tmp_path, body, expect):
     assert str(info.value) == f"{path}{expect}"
 
 
+@pytest.mark.parametrize("command", ["select", "rank-compare"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_z_is_a_data_error(command, bad, dvalue_csv, tmp_path, capsys):
+    """A z that is not finite names its line, exits 3 and writes no --out,
+    where BH, Storey and the p-value ranking would have run on it."""
+    lines = Path(dvalue_csv).read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[1] = bad
+    lines[4] = ",".join(cells)
+    path = tmp_path / "dv-bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--dvalues", str(path), "--out", str(out)]) == 3
+    assert f"[data-error] {path}:5: non-finite z" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _with_bad_byte(src, dst, line):
     """Copy `src` to `dst` with a 0xff byte put into line `line`."""
     lines = Path(src).read_bytes().split(b"\n")
@@ -665,14 +682,53 @@ def test_package_import_loads_no_numpy():
     subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), check=True)
 
 
+# Reports which fit, sampler, study, backtest and process-pool modules a fresh
+# process loaded: after importing the CLI, or after one CLI call.
+_MODULES_PROBE = """
+import json, sys
+import fundselect.cli
+if len(sys.argv) > 1:
+    assert fundselect.cli.main(json.loads(sys.argv[1])) == 0
+watched = ["fundselect." + m for m in ("dependence", "mixture", "dvalues", "simlab", "backtest")]
+print(json.dumps([m for m in watched + ["concurrent.futures.process"] if m in sys.modules]))
+"""
+
+
+def _loaded_modules(*argv):
+    run = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *map(json.dumps, argv)],
+                         env=_subprocess_env(), check=True, capture_output=True, text=True)
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_pipeline_module():
+    """Importing the CLI loads the panel and selection modules and the pool
+    helpers only: no fit, sampler, study or backtest module, and no process
+    pool machinery."""
+    assert _loaded_modules() == set()
+
+
+def test_each_command_loads_only_what_it_runs(dvalue_csv, panel_files, tmp_path):
+    """`select` and `rank-compare` load no fit, sampler or study module; a
+    `dvalues` call loads the fit and the sampler but no study, no backtest
+    and no process pool."""
+    assert _loaded_modules(["select", "--dvalues", dvalue_csv, "--lambda", "1",
+                            "--out", str(tmp_path / "sel")]) == set()
+    assert _loaded_modules(["rank-compare", "--dvalues", dvalue_csv, "--top-n", "3",
+                            "--out", str(tmp_path / "rc")]) == set()
+    argv = ["dvalues", "--returns", panel_files["returns"], "--factors", panel_files["factors"],
+            "--window", WINDOW, *GRID_FLAGS, "--mc-samples", "200", "--out", str(tmp_path / "dv")]
+    assert _loaded_modules(argv) == {"fundselect.dependence", "fundselect.mixture",
+                                     "fundselect.dvalues"}
+
+
 # Reports the threads of a fresh process that imported the CLI, then those of
 # each job's process on a pool of two.
 _TASKS_PROBE = """
 import json, os
 import fundselect.cli
-from fundselect import simlab
+from fundselect import pool
 main = len(os.listdir("/proc/self/task"))
-workers = simlab.map_jobs(os.listdir, ["/proc/self/task"] * 2, workers=2)
+workers = pool.map_jobs(os.listdir, ["/proc/self/task"] * 2, workers=2)
 print(json.dumps([main, [len(tasks) for tasks in workers]]))
 """
 
@@ -748,7 +804,7 @@ def test_no_run_loads_scipy_special(panel_files, tmp_path):
 
 _OPENBLAS_PROBE = """
 import json, sys
-from fundselect import cli, simlab
+from fundselect import cli, pool
 
 def libraries():
     with open("/proc/self/maps") as fh:
@@ -756,7 +812,7 @@ def libraries():
 
 before = libraries()  # NumPy's, loaded with the package
 code = cli.main(sys.argv[1:])
-threads = [get() for _, get in simlab._openblas_thread_controls()]
+threads = [get() for _, get in pool._openblas_thread_controls()]
 print(json.dumps([code, threads, before, libraries()]))
 """
 
@@ -815,7 +871,7 @@ def test_workers_help_names_the_commands_that_use_it():
 def test_cli_runs_openblas_on_one_thread(dvalue_csv, tmp_path):
     """A CLI call leaves every loaded OpenBLAS on one thread, for itself and
     for the pool workers it forks."""
-    controls = simlab._openblas_thread_controls()
+    controls = pool._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process")
     before = [get() for _, get in controls]
@@ -823,7 +879,7 @@ def test_cli_runs_openblas_on_one_thread(dvalue_csv, tmp_path):
         for set_num_threads, _ in controls:
             set_num_threads(2)
         assert main(["select", "--dvalues", dvalue_csv, "--out", str(tmp_path / "o")]) == 0
-        assert [get() for _, get in simlab._openblas_thread_controls()] == [1] * len(controls)
+        assert [get() for _, get in pool._openblas_thread_controls()] == [1] * len(controls)
     finally:
         for (set_num_threads, _), threads in zip(controls, before):
             set_num_threads(threads)

@@ -567,6 +567,42 @@ def test_tile_chain_matches_the_log_domain_reference(params, lam):
     assert (d[[4, 17]] == 0.0).all() and (los[[4, 17]] == 0.0).all()
 
 
+def _per_slab_tile_ratios(dev, comps, params, lam):
+    """Reference: the tile chain with one `_half_probabilities` call per
+    slab, each on the tile's own shape."""
+    from fundselect import dvalues
+
+    (e0, e1, e2), total, logf = dvalues._shifted_weights(dvalues._component_logs(dev, comps))
+    neg1, pos1 = dvalues._half_probabilities(dev, params.nu1, params.tau1_sq, lam)
+    neg2, pos2 = dvalues._half_probabilities(dev, params.nu2, params.tau2_sq, lam)
+    with np.errstate(invalid="ignore"):
+        ratio_d = (e0 + e1 * neg1 + e2 * neg2) / total
+        ratio_los = ((params.nu0 == 0.0) * e0 + e1 * pos1 + e2 * pos2) / total
+    dead = ~np.isfinite(logf)
+    ratio_d[dead] = 0.0
+    ratio_los[dead] = 0.0
+    return logf, ratio_d, ratio_los
+
+
+@pytest.mark.parametrize("params", REFERENCE_PARAMS, ids=REFERENCE_IDS)
+@pytest.mark.parametrize("lam", [0.02, 1.0])
+def test_tile_chain_matches_the_per_slab_chain_bit_for_bit(params, lam):
+    """Both slabs' half probabilities come from one stacked call; log f and
+    both ratios keep the per-slab chain's bits, on the log-domain test's
+    grid, dead rows included, and on a 1-d tile as `local_fdr` passes it."""
+    from fundselect import dvalues
+
+    dev = np.linspace(-40.0, 40.0, 30 * 64).reshape(30, 64)
+    dev[[4, 17]] = 1e200
+    comps = dvalues._components(params, lam)
+    for tile in (dev, dev[5]):
+        got = dvalues._tile_ratios(tile, comps, params, lam)
+        want = _per_slab_tile_ratios(tile, comps, params, lam)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == tile.shape
+            assert g.view(np.int64).tolist() == w.view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("params", REFERENCE_PARAMS, ids=REFERENCE_IDS)
 def test_local_fdr_matches_the_log_domain_reference(params):
     """local_fdr is the tile chain at unit noise: within 1e-13 of the

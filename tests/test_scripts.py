@@ -1,7 +1,10 @@
-"""The panel-writing script, run as `python3 scripts/make_synthetic_panel.py` would."""
+"""The repository's scripts: the panel writer, run as `python3
+scripts/make_synthetic_panel.py` would, and the benchmark-file comparison."""
 
 import csv
+import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +66,42 @@ def test_planted_panel_feeds_a_benchmark_backtest(tmp_path, monkeypatch):
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     index = [r for r in rows if r["strategy"] == "index"]
     assert [r["year"] for r in index] == ["2005", "2006", "2007"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+COMPARE = ROOT / "scripts" / "bench_compare.py"
+
+
+def _compare(*paths):
+    run = subprocess.run([sys.executable, str(COMPARE), *map(str, paths)],
+                         capture_output=True, text=True)
+    return run.returncode, run.stdout.splitlines(), run.stderr
+
+
+def test_bench_compare_lines_up_two_trajectory_files():
+    """One row per workload and end-to-end metric both files hold: each
+    file's change median, the move between them and each file's wins."""
+    code, lines, _ = _compare(ROOT / "BENCH_23.json", ROOT / "BENCH_24.json")
+    assert code == 0
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
+    assert len(rows) == 18 == len(lines) - 1
+    assert {w for w, _ in rows} == {"simulate-p500", "backtest-p500", "dvalues-p2000"}
+    assert rows["dvalues-p2000", "cpu_s"] == ["s", "1.5623", "1.19458", "-23.5%", "10/10", "10/10"]
+    assert rows["backtest-p500", "setup_s"] == ["s", "0.168126", "0.215123", "+28.0%", "4/10",
+                                                "7/10"]
+
+
+def test_bench_compare_refuses_a_file_of_another_shape(tmp_path):
+    bench = json.loads((ROOT / "BENCH_24.json").read_text())
+    del bench["workloads"]["dvalues-p2000"]["metrics"]["cpu_s"]["change"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(bench))
+    code, lines, err = _compare(ROOT / "BENCH_23.json", broken)
+    assert code == 2 and lines == []
+    assert "dvalues-p2000 cpu_s: needs the keys" in err
+    for other in ({"workloads": {}}, [1, 2]):
+        broken.write_text(json.dumps(other))
+        assert _compare(broken, ROOT / "BENCH_24.json")[0] == 2
+    broken.write_text("not json")
+    assert _compare(ROOT / "BENCH_23.json", broken)[0] == 2
+    assert _compare(ROOT / "BENCH_23.json")[0] == 2

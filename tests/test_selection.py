@@ -17,7 +17,17 @@ from scipy.stats import norm
 
 from fundselect.errors import DataError
 from fundselect.selection import (
+    _ERF_T,
+    _ERF_U,
+    _ERFC_P,
+    _ERFC_Q,
+    _ERFC_R,
+    _ERFC_S,
+    _SQRT_HALF,
+    _SQUARE_STEP,
+    _TAIL_CLIP,
     SelectionResult,
+    _horner,
     _normal_tail,
     bh_select,
     one_sided_pvalues,
@@ -279,6 +289,98 @@ def test_normal_tail_ends_and_shapes():
         for scalar in (v, np.float64(v), np.array(v)):
             got = _normal_tail(scalar)
             assert got.shape == () and got == want
+
+
+def _both_branch_tail(q) -> np.ndarray:
+    """Reference: the normal tail that runs both Cephes branches, and R/S
+    wherever any element needs it, on every element, and picks with
+    `np.where`. `_normal_tail` runs each element's own branch only, with
+    the same operations on it, so the two agree bit for bit."""
+    shape = np.shape(q)
+    x = np.clip(np.asarray(q, dtype=float).reshape(-1), -_TAIL_CLIP, _TAIL_CLIP)
+    x *= _SQRT_HALF
+    z = x * x
+    near = _horner(z, _ERF_T)
+    near *= x
+    near /= _horner(z, _ERF_U)
+    near *= -0.5
+    near += 0.5
+
+    ax = np.abs(x, out=z)
+    far = _horner(ax, _ERFC_P)
+    far /= _horner(ax, _ERFC_Q)
+    big = ax >= 8.0
+    if big.any():
+        far = np.where(big, _horner(ax, _ERFC_R) / _horner(ax, _ERFC_S), far)
+    m = np.rint(ax * (1.0 / _SQUARE_STEP))
+    m *= _SQUARE_STEP
+    rest = m - ax
+    rest *= m + ax
+    far *= 0.5
+    far *= np.exp(rest, out=rest)
+    m *= m
+    far *= np.exp(np.negative(m, out=m), out=m)
+
+    far = np.where(x < 0.0, 1.0 - far, far)
+    return np.where(ax < 1.0, near, far).reshape(shape)
+
+
+def _ulps_around(v: float, k: int = 2) -> list[float]:
+    """v and its k neighbours on each side in doubles."""
+    out, lo, hi = [v], v, v
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [float(lo), float(hi)]
+    return out
+
+
+# The branch edges |x| = 1 and 8 at x = q / sqrt(2), the ends, a dense grid
+# over [-40, 40] and a log-spaced one reaching far past the clip.
+_EDGES = [s * v for base in (math.sqrt(2.0), 8.0 * math.sqrt(2.0)) for v in _ulps_around(base)
+          for s in (1.0, -1.0)]
+_TAIL_POINTS = np.concatenate([
+    _EDGES,
+    [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300, 5e-324],
+    np.linspace(-40.0, 40.0, 8001),
+    np.geomspace(1e-8, 1e8, 401),
+    -np.geomspace(1e-8, 1e8, 401),
+])
+
+
+def _bits(a) -> list[int]:
+    return np.asarray(a, dtype=float).view(np.int64).ravel().tolist()
+
+
+@pytest.mark.parametrize("points", [
+    _TAIL_POINTS,
+    np.abs(_TAIL_POINTS),  # the d-value chain's input: no element below zero
+    np.array(_EDGES[:10]),  # only the erf branch and the P/Q tail
+    np.array([0.3, -0.7, 1.2]),  # no element needs R/S
+    np.full(5, 20.0),  # every element needs R/S
+    np.linspace(-1.3, 1.3, 7),  # |x| < 1 throughout
+], ids=["mixed", "nonnegative", "edges", "no-rs", "all-rs", "all-erf"])
+def test_normal_tail_matches_the_both_branch_reference_bit_for_bit(points):
+    """Each element runs its own branch only, with the reference's
+    operations: every bit agrees, the signs of zero and NaN included, and no
+    floating-point warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _normal_tail(points)
+        want = _both_branch_tail(points)
+    assert _bits(got) == _bits(want)
+
+
+def test_normal_tail_keeps_shapes_bit_for_bit():
+    """0-d, empty and (3, 4, 5) inputs give the reference's bits in the
+    input's shape."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (np.array(math.sqrt(2.0)), np.float64(-8.0 * math.sqrt(2.0)), np.nan,
+                  -0.0, np.array([]), np.zeros((0, 3)),
+                  np.linspace(-39.0, 39.0, 60).reshape(3, 4, 5)):
+            got, want = _normal_tail(q), _both_branch_tail(q)
+            assert got.shape == want.shape == np.shape(q)
+            assert _bits(got) == _bits(want)
 
 
 def test_bh_worked_example():

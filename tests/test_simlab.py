@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fundselect.cli as cli
+import fundselect.pool as pool
 import fundselect.simlab as simlab
 from fundselect.errors import ConfigError, DataError, FundselectError
 from fundselect.mixture import GridConfig
@@ -226,7 +227,7 @@ def _rep_reporting_blas_threads(args):
     """A canned replication whose selection count is the smallest thread
     count of the OpenBLAS libraries loaded in the process that ran it."""
     out = _canned_rep(args[1])
-    out["dvalue"]["selected"] = min(get() for _, get in simlab._openblas_thread_controls())
+    out["dvalue"]["selected"] = min(get() for _, get in pool._openblas_thread_controls())
     return out
 
 
@@ -237,7 +238,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch, workers, reps, processes)
     OpenBLAS on one thread, whatever the core count; one replication runs in
     this process, on one thread too, and this process's thread counts come
     back afterwards."""
-    controls = simlab._openblas_thread_controls()
+    controls = pool._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process")
     before = [get() for _, get in controls]
@@ -248,9 +249,9 @@ def test_pool_workers_run_one_blas_thread(monkeypatch, workers, reps, processes)
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(simlab, "usable_cores", lambda: 6)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 6)
     monkeypatch.setattr(simlab, "_run_one_rep", _rep_reporting_blas_threads)
-    monkeypatch.setattr(simlab, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingPool)
     setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=0.1, reps=reps, seed=2)
     out = run_sim_study(setting, workers=workers)
     assert sizes == ([] if processes is None else [processes])
@@ -285,7 +286,7 @@ def test_forked_workers_inherit_scipy_special(monkeypatch, workers, theta):
 
 def _blas_threads(job):
     """The thread count of every OpenBLAS loaded in the process that runs it."""
-    return [get() for _, get in simlab._openblas_thread_controls()]
+    return [get() for _, get in pool._openblas_thread_controls()]
 
 
 def _failing_job(job):
@@ -296,17 +297,17 @@ def test_in_process_jobs_run_one_blas_thread_and_restore_the_callers():
     """With one worker, the jobs run in this process on one OpenBLAS thread,
     and the caller's two threads come back afterwards, also when a job
     raises."""
-    controls = simlab._openblas_thread_controls()
+    controls = pool._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process")
     before = [get() for _, get in controls]
     try:
         for set_num_threads, _ in controls:
             set_num_threads(2)
-        assert simlab.map_jobs(_blas_threads, [0, 1], workers=1) == [[1] * len(controls)] * 2
+        assert pool.map_jobs(_blas_threads, [0, 1], workers=1) == [[1] * len(controls)] * 2
         assert [get() for _, get in controls] == [2] * len(controls)
         with pytest.raises(RuntimeError, match="job 0 failed"):
-            simlab.map_jobs(_failing_job, [0], workers=1)
+            pool.map_jobs(_failing_job, [0], workers=1)
         assert [get() for _, get in controls] == [2] * len(controls)
     finally:
         for (set_num_threads, _), threads in zip(controls, before):
@@ -325,26 +326,26 @@ def test_thread_controls_cover_every_loaded_openblas():
         pytest.skip("no /proc/self/maps on this platform")
     if not libraries:
         pytest.skip("no OpenBLAS loaded in this process")
-    assert len(simlab._openblas_thread_controls()) == len(libraries)
+    assert len(pool._openblas_thread_controls()) == len(libraries)
 
 
 def test_blas_limit_does_nothing_without_openblas(monkeypatch):
     """Without a thread control the limit changes no loaded library."""
-    controls = simlab._openblas_thread_controls()
+    controls = pool._openblas_thread_controls()
     before = [get() for _, get in controls]
-    monkeypatch.setattr(simlab, "_openblas_thread_controls", lambda: [])
-    simlab._limit_blas_threads(max(before, default=1) + 1)
+    monkeypatch.setattr(pool, "_openblas_thread_controls", lambda: [])
+    pool._limit_blas_threads(max(before, default=1) + 1)
     assert [get() for _, get in controls] == before
 
 
 def test_usable_cores_follow_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert simlab.usable_cores() == 3
+    assert pool.usable_cores() == 3
     assert cli._workers(argparse.Namespace(workers=0)) == 3
     assert cli._workers(argparse.Namespace(workers=5)) == 5
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert simlab.usable_cores() == 64
+    assert pool.usable_cores() == 64
 
 
 def test_study_drops_scarce_failures_with_a_warning(monkeypatch):
