@@ -18,7 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "backtest": ("BacktestConfig", "PortfolioTrack", "run_backtest"),
-    "dependence": ("DependenceModel", "build_dependence", "dependence_from_correlation"),
+    "dependence": ("DependenceModel", "build_dependence", "dependence_from_correlation",
+                   "marchenko_pastur_edge"),
     "dvalues": ("DValueReport", "component_mass_nonnegative", "component_mass_nonpositive",
                 "compute_dvalues", "local_fdr"),
     "errors": ("ConfigError", "DataError", "FitFailedError", "FundselectError", "NumericalError"),
@@ -75,6 +76,7 @@ __all__ = [
     "generate_panel",
     "lad_regress",
     "local_fdr",
+    "marchenko_pastur_edge",
     "month_range",
     "one_sided_pvalues",
     "optimal_decision",

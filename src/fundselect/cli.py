@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Every run hashes its mathematical configuration (everything except --out,
---config, and --workers) into a manifest written alongside the outputs; each
-output file names that manifest on its first line, and rerunning with the
-same manifest reproduces the bytes below that line exactly. Outputs are
-written only once the command has succeeded, the manifest last, so a command
-that fails leaves no file; a write that fails part-way removes the files it
-wrote and is a config error.
+--config, --workers and, for select and rank-compare, --seed) into a
+manifest written alongside the outputs; each output file names that
+manifest on its first line, and rerunning with the same manifest reproduces
+the bytes below that line exactly. Outputs are written only once the
+command has succeeded, the manifest last, so a command that fails leaves no
+file; a write that fails part-way removes the files it wrote and is a config
+error.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -19,7 +20,6 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -40,6 +40,7 @@ from . import __version__
 from .errors import ConfigError, DataError, NumericalError
 from .panel import (
     MIN_WINDOW_MONTHS,
+    _csv_records,
     _parse_factors_csv,
     _parse_returns_csv,
     assemble_window,
@@ -58,44 +59,27 @@ from .selection import (
     storey_select,
 )
 
-# The fit, sampler, study and backtest names are imported on first use (PEP
-# 562, as in the package `__init__`), so that each command loads only the
-# modules it runs: `select` and `rank-compare` none of them, `fit` and
-# `dvalues` no study or pool machinery. `main()` binds a command's names
-# before its handler runs; a name already bound, such as a wrapper or a
+# The fit, sampler, study and backtest names each command calls, imported on
+# first use through the package's lazy exports (PEP 562), so that each command
+# loads only the modules it runs: `select` and `rank-compare` none of them,
+# `fit` and `dvalues` no study or pool machinery. `main()` binds a command's
+# names before its handler runs; a name already bound, such as a wrapper or a
 # test's patch set on this module, stays.
-_LAZY = {
-    "backtest": ("BacktestConfig", "run_backtest"),
-    "dependence": ("build_dependence", "marchenko_pastur_edge"),
-    "dvalues": ("compute_dvalues", "local_fdr"),
-    "mixture": ("GridConfig", "fit_mixture"),
-    "simlab": ("SimSetting", "run_sim_study"),
-}
-_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
-_COMMAND_MODULES = {
-    "fit": ("dependence", "mixture"),
-    "dvalues": ("dependence", "dvalues", "mixture"),
-    "simulate": ("mixture", "simlab"),
-    "backtest": ("backtest", "mixture"),
+_COMMAND_NAMES = {
+    "fit": ("GridConfig", "build_dependence", "fit_mixture", "marchenko_pastur_edge"),
+    "dvalues": ("GridConfig", "build_dependence", "compute_dvalues", "fit_mixture", "local_fdr",
+                "marchenko_pastur_edge"),
+    "simulate": ("GridConfig", "SimSetting", "run_sim_study"),
+    "backtest": ("BacktestConfig", "GridConfig", "run_backtest"),
 }
 
 
 def __getattr__(name: str):
-    """Import the module that exports `name` and bind the name here."""
-    if name not in _MODULE_OF:
+    """Import a name of the command table from the package and bind it here."""
+    if not any(name in names for names in _COMMAND_NAMES.values()):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
-
-
-def _bind(command: str) -> None:
-    """Bind every lazy name that `command`'s handler calls and that is not
-    bound yet."""
-    for module in _COMMAND_MODULES.get(command, ()):
-        for name in _LAZY[module]:
-            if name not in globals():
-                __getattr__(name)
 
 
 _UNHASHED = {"command", "config", "out", "workers"}
@@ -284,8 +268,10 @@ class _RunContext:
     """Where outputs go and which manifest they cite."""
 
     def __init__(self, args):
+        # select and rank-compare draw nothing at random: their seed is no config
+        unhashed = {*_UNHASHED, "seed"} if args.command in ("select", "rank-compare") else _UNHASHED
         config = {
-            k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in _UNHASHED
+            k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in unhashed
         }
         payload = json.dumps(
             {"command": args.command, "config": config},
@@ -299,7 +285,7 @@ class _RunContext:
             "command": args.command,
             "config": config,
             "hash": self.hash,
-            "seed": args.seed,
+            "seed": config.get("seed"),
             "versions": {
                 "fundselect": __version__,
                 "numpy": np.__version__,
@@ -415,19 +401,8 @@ def _read_dvalue_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     every record is one line, each fund id appears once, and a z column, where
     there is one, holds finite numbers. Blank lines are skipped; error
     messages name the file's own line numbers."""
-    records: list[tuple[int, list[str]]] = []
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        lineno = 1
-        try:
-            for cells in reader:
-                if reader.line_num != lineno:
-                    raise DataError(f"{path}:{lineno}: a quoted field spans lines")
-                if len(cells) > 1 or (cells and cells[0].strip()):
-                    records.append((lineno, cells))
-                lineno = reader.line_num + 1
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        records = list(_csv_records(fh, path))
     if records and records[0][1][0].startswith("#"):
         records = records[1:]
     if not records:
@@ -648,7 +623,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             args = _apply_config_file(argv, args, parser, by_name)
         ctx = _RunContext(args)
-        _bind(args.command)
+        for name in _COMMAND_NAMES.get(args.command, ()):
+            if name not in globals():
+                __getattr__(name)
         _HANDLERS[args.command](args, ctx)
         ctx.save()
     except ConfigError as exc:

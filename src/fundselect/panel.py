@@ -11,11 +11,13 @@ sorted fund axis and one month x fund float matrix, NaN where the file has no
 row (non-finite returns are rejected, so NaN means nothing else). The matrix
 is dense, a cell for every fund in every month of the file, so a sparse panel
 costs its whole rectangle. The reader takes the file in 64 Ki-character
-chunks. Text without a quote is split by `str.split`; from the first chunk
-that holds a quote on, `csv.reader` splits the records. Both end a record at
-\\r\\n, \\r or \\n, as csv.reader does on a file opened with newline="", and
-both feed one validator that works on columns. `assemble_window` cuts a
-window out of the matrix by slicing.
+chunks. A chunk without a quote whose records all have three fields is
+split by `str.split`, which ends a record at \\r\\n, \\r or \\n as csv.reader
+does on a file opened with newline=""; from the first other chunk on, the
+one record loop of every input file (`_csv_records`) reads the rest. Both
+feed one validator that works on columns. A record that spans lines is a
+data error in every input file. `assemble_window` cuts a window out of the
+matrix by slicing.
 
 Alphas come from the time-series regression of each fund's excess return on
 [1, mkt_rf, smb, hml, mom]. The intercept estimate is a fixed linear functional
@@ -44,7 +46,7 @@ MIN_WINDOW_MONTHS = 12  # shortest estimation window a fit accepts
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
 _CHUNK_CHARS = 1 << 16  # characters the returns reader takes per read
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")  # deleted by translate
-_CSV_BATCH = 4096  # csv.reader records per batch of the returns reader
+_CSV_BATCH = 4096  # records per batch of the returns reader's csv path
 
 
 def month_index(date: str) -> int:
@@ -191,98 +193,69 @@ class ReturnTable(Mapping):
         return np.vstack([gap if t is None else self.matrix[t] for t in at])
 
 
-def _screen(nfields: np.ndarray, first_field, first: int):
-    """Positions of the 3-field records of a batch, the first on line
-    `first`, that precede its first bad record; and that record's (line,
-    problem), or None. A record of at most one blank field is a blank line
-    and is skipped; `first_field(k)` is record k's first field."""
-    blank, stop = [], len(nfields)
-    for k in np.flatnonzero(nfields != 3).tolist():
-        if nfields[k] > 1 or first_field(k).strip():
-            stop = k
-            break
-        blank.append(k)
-    bad = None
-    if stop < len(nfields):
-        bad = (first + stop, f"expected 3 fields, got {nfields[stop]}")
-    return np.delete(np.arange(stop), blank), bad
+def _csv_records(lines, path: str, first: int = 1):
+    """(line, fields) of each record csv.reader makes of `lines`, whose first
+    item is line `first` of `path`; blank records are skipped. A record that
+    spans lines, or that csv.reader refuses (a field over its size limit),
+    raises DataError naming its first line."""
+    reader = csv.reader(lines)
+    read = 0  # lines of `lines` before the next record
+    try:
+        for fields in reader:
+            if reader.line_num != read + 1:
+                raise DataError(f"{path}:{first + read}: a quoted field spans lines")
+            read = reader.line_num
+            if len(fields) > 1 or (fields and fields[0].strip()):
+                yield first + read - 1, fields
+    except csv.Error as exc:
+        raise DataError(f"{path}:{first + read}: {exc}") from None
 
 
-def _split_batch(text: str, n: int, first: int):
-    """Columns of the `n` quote-free records of `text`, each ended by \\n, the
-    first on line `first`: what csv.reader makes of them, by str.split."""
-    if text.encode().translate(None, _NOT_SEPARATORS) == b",,\n" * n:  # 3 fields each
-        cells = text.replace("\n", ",").split(",")  # 3n fields and a final ""
-        return first + np.arange(n), cells[0:-1:3], cells[1::3], cells[2::3], None
-    records = text.split("\n")[:-1]
-    commas = np.fromiter(map(str.count, records, itertools.repeat(",")), np.intp, n)
-    keep, bad = _screen(commas + 1, records.__getitem__, first)
-    cells = ",".join([records[k] for k in keep]).split(",") if len(keep) else []
-    return first + keep, cells[0::3], cells[1::3], cells[2::3], bad
-
-
-def _csv_batch(rows: list[list[str]], first: int, error=None):
-    """Columns of csv.reader rows, the first on line `first`; `error` is the
-    (line, problem) csv.reader raised after the last of them, if it did."""
-    keep, bad = _screen(np.fromiter(map(len, rows), np.intp, len(rows)),
-                        lambda k: rows[k][0] if rows[k] else "", first)
-    bad = bad or error
-    dates, funds, rets = zip(*[rows[k] for k in keep]) if len(keep) else ((), (), ())
-    return first + keep, dates, funds, rets, bad
-
-
-def _return_batches(fh, lineno: int):
-    """Batches of the returns file's records from `lineno` on: (line numbers,
-    date fields, fund fields, return fields, first bad record as (line,
-    problem) or None). The file is read in chunks. Records end at
-    \\r\\n, \\r or \\n, where csv.reader on a file opened with newline=""
-    ends them; text without a quote is split by str.split, and from the
-    first chunk that holds a quote on, csv.reader takes the records over. A
-    record csv.reader refuses (a field over its size limit) ends the last
-    batch as its bad record."""
+def _return_batches(fh, path: str, lineno: int):
+    """Batches of the returns file's records from line `lineno` on: (line
+    numbers, date fields, fund fields, return fields, the DataError of the
+    bad record that ends the last batch, or None). The file is read in
+    chunks. A chunk that holds no quote and whose records all have three
+    fields is split by str.split, its records ended at \\r\\n, \\r or \\n,
+    where csv.reader ends them on a file opened with newline=""; from the
+    first other chunk on, _csv_records reads the rest of the file."""
     pending = ""  # the partial record at the end of the text read so far
     while True:
         chunk = fh.read(_CHUNK_CHARS)
-        if '"' in chunk:
-            lines = io.StringIO(pending + chunk + fh.readline(), newline="")
-            reader = csv.reader(itertools.chain(lines, fh))
-            start = lineno
-            while True:
-                rows, error = [], None
-                try:
-                    for row in itertools.islice(reader, _CSV_BATCH):
-                        rows.append(row)
-                except csv.Error as exc:
-                    error = (start + reader.line_num - 1, str(exc))
-                if rows or error:
-                    yield _csv_batch(rows, lineno, error)
-                if error or len(rows) < _CSV_BATCH:
-                    return
-                lineno += len(rows)
         text = pending + chunk
         # a final \r may be the first half of a \r\n
         cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1 if chunk else len(text)
-        text, pending = text[:cut], text[cut:]
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        if not chunk and text and not text.endswith("\n"):
-            text += "\n"  # the last record, unterminated
-        if text:
-            n = text.count("\n")
-            yield _split_batch(text, n, lineno)
+        split, pending = text[:cut], text[cut:]
+        if "\r" in split:
+            split = split.replace("\r\n", "\n").replace("\r", "\n")
+        if not chunk and split and not split.endswith("\n"):
+            split += "\n"  # the last record, unterminated
+        n = split.count("\n")
+        if '"' in text or split.encode().translate(None, _NOT_SEPARATORS) != b",,\n" * n:
+            break
+        if n:
+            cells = split.replace("\n", ",").split(",")  # 3n fields and a final ""
+            yield lineno + np.arange(n), cells[0:-1:3], cells[1::3], cells[2::3], None
             lineno += n
         if not chunk:
             return
-
-
-def _csv_rows(fh, path: str):
-    """csv.reader's records of `fh`; a record it refuses (a field over its
-    size limit) raises DataError naming its line."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    head = io.StringIO(text + fh.readline(), newline="")  # ends where a line of fh ends
+    records = _csv_records(itertools.chain(head, fh), path, lineno)
+    while True:
+        lines, rows, bad = [], [], None
+        try:
+            for line, fields in itertools.islice(records, _CSV_BATCH):
+                if len(fields) != 3:
+                    bad = DataError(f"{path}:{line}: expected 3 fields, got {len(fields)}")
+                    break
+                lines.append(line)
+                rows.append(fields)
+        except DataError as exc:
+            bad = exc
+        dates, funds, rets = zip(*rows) if rows else ((), (), ())
+        yield np.array(lines, np.intp), dates, funds, rets, bad
+        if bad or len(rows) < _CSV_BATCH:
+            return
 
 
 def _float_or_nan(text: str) -> float:
@@ -302,8 +275,6 @@ def _row_problem(date_s: str, fund_s: str, ret_s: str) -> str:
     fund = fund_s.strip()
     if not fund:
         return "empty fund_id"
-    if "\n" in fund or "\r" in fund:
-        return f"fund_id {fund!r} spans lines"
     try:
         float(ret_s)
     except ValueError:
@@ -315,12 +286,12 @@ def _parse_returns_csv(path: str) -> ReturnTable:
     """Read the long-form returns file into a ReturnTable.
 
     Fields are CSV (a quoted fund id may hold commas) with surrounding
-    whitespace ignored; blank lines are skipped. A fund id must be non-empty
-    and on one line, since the CLI writes it into line-per-record outputs.
-    A bad field count, date, fund id or return, or a repeated (fund, month),
-    raises DataError naming the file and line of the earliest bad row. Each
-    distinct date text and fund id text is checked once; returns convert by
-    float(), a batch at a time.
+    whitespace ignored; blank lines are skipped. A record must lie on one
+    line (`_csv_records`), so a fund id can be written into the CLI's
+    line-per-record outputs. A bad record, field count, date, fund id or
+    return, or a repeated (fund, month), raises DataError naming the file
+    and line of the earliest bad row. Each distinct date text and fund id
+    text is checked once; returns convert by float(), a batch at a time.
     """
     month_of: dict[str, int] = {}  # date field as written -> month index, -1 if bad
     code_of: dict[str, int] = {}  # fund field as written -> fund code, -1 if bad
@@ -347,10 +318,10 @@ def _parse_returns_csv(path: str) -> ReturnTable:
                             f"{month // 12:04d}-{month % 12 + 1:02d}")
 
     with open_text(path) as fh:
-        header = next(_csv_rows(fh, path), None)
-        if header is None or [c.strip() for c in header[:3]] != ["date", "fund_id", "ret"]:
+        line, header = next(_csv_records(fh, path), (None, None))
+        if line != 1 or [c.strip() for c in header[:3]] != ["date", "fund_id", "ret"]:
             raise DataError(f"{path}: expected header 'date,fund_id,ret'")
-        for lines, dates, funds, rets, bad in _return_batches(fh, 2):
+        for lines, dates, funds, rets, bad in _return_batches(fh, path, 2):
             for text in set(dates).difference(month_of):
                 try:
                     month_of[text] = month_index(text.strip())
@@ -358,8 +329,7 @@ def _parse_returns_csv(path: str) -> ReturnTable:
                     month_of[text] = -1
             for text in set(funds).difference(code_of):
                 fund = text.strip()
-                ok = fund and "\n" not in fund and "\r" not in fund
-                code_of[text] = fund_code.setdefault(fund, len(fund_code)) if ok else -1
+                code_of[text] = fund_code.setdefault(fund, len(fund_code)) if fund else -1
             n = len(lines)
             months = np.fromiter(map(month_of.__getitem__, dates), np.int32, n)
             codes = np.fromiter(map(code_of.__getitem__, funds), np.int32, n)
@@ -373,9 +343,9 @@ def _parse_returns_csv(path: str) -> ReturnTable:
                 k = wrong[0]
                 first_repeat(lines[k])
                 raise DataError(f"{path}:{lines[k]}: {_row_problem(dates[k], funds[k], rets[k])}")
-            if bad is not None:
-                first_repeat(bad[0])
-                raise DataError(f"{path}:{bad[0]}: {bad[1]}")
+            if bad is not None:  # every row read so far precedes it
+                first_repeat()
+                raise bad
 
     _, months, codes, vals = columns()
     axis, rows = np.unique(months, return_inverse=True)
@@ -397,13 +367,11 @@ def _parse_monthly_csv(path: str, columns: tuple[str, ...]) -> dict[str, list[fl
     expected = ["date", *columns]
     out: dict[str, list[float]] = {}
     with open_text(path) as fh:
-        reader = _csv_rows(fh, path)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[: len(expected)]] != expected:
+        records = _csv_records(fh, path)
+        line, header = next(records, (None, None))
+        if line != 1 or [c.strip() for c in header[: len(expected)]] != expected:
             raise DataError(f"{path}: expected header '{','.join(expected)}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        for lineno, row in records:
             if len(row) != len(expected):
                 raise DataError(
                     f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}"

@@ -14,9 +14,9 @@ T=240, takes longer), while a second thread spins beside every small call,
 and with as many processes as cores the threads of different processes spin
 against each other.
 
-`ProcessPoolExecutor` is imported when the first pool starts (PEP 562), so
-a process that runs its jobs in place never loads `concurrent.futures`'
-process machinery.
+`ProcessPoolExecutor` is imported where a pool starts, and
+`concurrent.futures` loads its process module on that first access, so a
+process that runs its jobs in place never loads the process machinery.
 """
 
 from __future__ import annotations
@@ -71,16 +71,6 @@ def _limit_blas_threads(threads: int) -> None:
         set_num_threads(threads)
 
 
-def __getattr__(name: str):
-    """`ProcessPoolExecutor`, imported on first use and cached here."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
 def map_jobs(fn, jobs: list, workers: int, catch: tuple = ()) -> list:
     """[fn(job) for job in jobs], run on min(workers, len(jobs)) processes,
     or in this process when that is at most one; `fn` and each job must
@@ -104,8 +94,9 @@ def map_jobs(fn, jobs: list, workers: int, catch: tuple = ()) -> list:
         finally:
             for (set_num_threads, _), threads in zip(controls, before):
                 set_num_threads(threads)
-    executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-    with executor(max_workers=processes, initializer=_limit_blas_threads,
-                  initargs=(1,)) as pool:
+    from concurrent.futures import ProcessPoolExecutor  # its process module loads here
+
+    with ProcessPoolExecutor(max_workers=processes, initializer=_limit_blas_threads,
+                             initargs=(1,)) as pool:
         futures = [pool.submit(fn, job) for job in jobs]
         return [outcome(fut.result) for fut in futures]

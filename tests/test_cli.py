@@ -252,14 +252,17 @@ def test_rerun_bytes_identical_across_worker_counts(tmp_path):
 
 
 def test_manifest_hash_tracks_math_config_only(dvalue_csv, tmp_path):
-    base = ["select", "--dvalues", dvalue_csv, "--theta", "0.3"]
-    outs = [tmp_path / c for c in "abc"]
-    assert main([*base, "--out", str(outs[0]), "--workers", "1"]) == 0
-    assert main([*base, "--out", str(outs[1]), "--workers", "4"]) == 0
-    assert main([*base, "--seed", "7", "--out", str(outs[2])]) == 0
+    """`--workers`, and `--seed` of a command that draws nothing at random,
+    keep the manifest name; `--theta` changes it."""
+    base = ["select", "--dvalues", dvalue_csv]
+    outs = [tmp_path / c for c in "abcd"]
+    assert main([*base, "--theta", "0.3", "--out", str(outs[0]), "--workers", "1"]) == 0
+    assert main([*base, "--theta", "0.3", "--out", str(outs[1]), "--workers", "4"]) == 0
+    assert main([*base, "--theta", "0.3", "--seed", "7", "--out", str(outs[2])]) == 0
+    assert main([*base, "--theta", "0.2", "--out", str(outs[3])]) == 0
     names = [_manifests_in(o)[0] for o in outs]
-    assert names[0] == names[1]
-    assert names[2] != names[0]
+    assert names[0] == names[1] == names[2]
+    assert names[3] != names[0]
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +712,27 @@ def test_cli_import_loads_no_pipeline_module():
 
 def test_each_command_loads_only_what_it_runs(dvalue_csv, panel_files, tmp_path):
     """`select` and `rank-compare` load no fit, sampler or study module; a
-    `dvalues` call loads the fit and the sampler but no study, no backtest
-    and no process pool."""
+    `fit` call loads the fit alone, a `dvalues` call the fit and the
+    sampler, and neither a study, a backtest or a process pool; `simulate`
+    and `backtest` at one worker load their own modules but no process
+    pool."""
     assert _loaded_modules(["select", "--dvalues", dvalue_csv, "--lambda", "1",
                             "--out", str(tmp_path / "sel")]) == set()
     assert _loaded_modules(["rank-compare", "--dvalues", dvalue_csv, "--top-n", "3",
                             "--out", str(tmp_path / "rc")]) == set()
-    argv = ["dvalues", "--returns", panel_files["returns"], "--factors", panel_files["factors"],
-            "--window", WINDOW, *GRID_FLAGS, "--mc-samples", "200", "--out", str(tmp_path / "dv")]
-    assert _loaded_modules(argv) == {"fundselect.dependence", "fundselect.mixture",
-                                     "fundselect.dvalues"}
+    panel = ["--returns", panel_files["returns"], "--factors", panel_files["factors"], *GRID_FLAGS]
+    assert _loaded_modules(["fit", *panel, "--window", WINDOW, "--out", str(tmp_path / "fit")]) \
+        == {"fundselect.dependence", "fundselect.mixture"}
+    assert _loaded_modules(["dvalues", *panel, "--window", WINDOW, "--mc-samples", "200",
+                            "--out", str(tmp_path / "dv")]) \
+        == {"fundselect.dependence", "fundselect.mixture", "fundselect.dvalues"}
+    fitted = {"fundselect.dependence", "fundselect.mixture", "fundselect.dvalues"}
+    assert _loaded_modules(["simulate", "--p", "60", "--reps", "1", "--months", "24",
+                            "--mc-samples", "50", *GRID_FLAGS, "--workers", "1",
+                            "--out", str(tmp_path / "sim")]) == {*fitted, "fundselect.simlab"}
+    assert _loaded_modules(["backtest", *panel, "--start-year", "2005", "--end-year", "2005",
+                            "--window-years", "5", "--mc-samples", "50", "--workers", "1",
+                            "--out", str(tmp_path / "bt")]) == {*fitted, "fundselect.backtest"}
 
 
 # Reports the threads of a fresh process that imported the CLI, then those of

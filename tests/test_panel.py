@@ -387,8 +387,43 @@ def test_returns_parser_rejects_fund_id_spanning_lines(tmp_path, fund):
         writer = csv.writer(fh)  # quotes a field holding \r or \n
         writer.writerows([["date", "fund_id", "ret"], ["2001-01", "A", "0.1"],
                           ["2001-01", fund, "0.2"]])
-    with pytest.raises(DataError, match=r"returns\.csv:3: fund_id .* spans lines"):
+    with pytest.raises(DataError) as info:
         _parse_returns_csv(str(path))
+    assert str(info.value) == f"{path}:3: a quoted field spans lines"
+
+
+@pytest.mark.parametrize("reader", ["returns", "factors"])
+def test_a_value_spanning_lines_is_a_bad_record(tmp_path, reader):
+    """A quoted value that float() would take, "0.01\\n", spans lines: it is
+    a bad record, named by its first line, not a value that shifts the line
+    numbers of the errors after it."""
+    path = tmp_path / f"{reader}.csv"
+    if reader == "returns":
+        path.write_text('date,fund_id,ret\n2001-01,A,"0.01\n"\n2001-02,A,0.02\n2001-3,A,x\n')
+        parse = _parse_returns_csv
+    else:
+        path.write_text('date,mkt_rf,smb,hml,mom,rf\n2001-01,0,0,0,0,"0.01\n"\n'
+                        "2001-02,0,0,0,0,0\n2001-3,0,0,0,0,0\n")
+        parse = _parse_factors_csv
+    with pytest.raises(DataError) as info:
+        parse(str(path))
+    assert str(info.value) == f"{path}:2: a quoted field spans lines"
+
+
+@pytest.mark.parametrize("reader", ["returns", "factors"])
+def test_header_must_be_the_first_line(tmp_path, reader):
+    """A blank first line is refused: the header is line 1, so that every
+    later line keeps its own number."""
+    path = tmp_path / f"{reader}.csv"
+    if reader == "returns":
+        path.write_text("\ndate,fund_id,ret\n2001-01,A,0.01\n")
+        parse, header = _parse_returns_csv, "date,fund_id,ret"
+    else:
+        path.write_text("\ndate,mkt_rf,smb,hml,mom,rf\n2001-01,0,0,0,0,0\n")
+        parse, header = _parse_factors_csv, "date,mkt_rf,smb,hml,mom,rf"
+    with pytest.raises(DataError) as info:
+        parse(str(path))
+    assert str(info.value) == f"{path}: expected header '{header}'"
 
 
 # Single-line fund ids, with no surrounding whitespace (the readers strip it).

@@ -251,7 +251,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch, workers, reps, processes)
 
     monkeypatch.setattr(pool, "usable_cores", lambda: 6)
     monkeypatch.setattr(simlab, "_run_one_rep", _rep_reporting_blas_threads)
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     setting = SimSetting(p=50, sparsity="s1", dependence="d1", theta=0.1, reps=reps, seed=2)
     out = run_sim_study(setting, workers=workers)
     assert sizes == ([] if processes is None else [processes])
